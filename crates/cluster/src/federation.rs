@@ -5,13 +5,12 @@
 //! Between WAN deliveries the sites are independent shards, and nothing
 //! a site does before `earliest event + WAN lookahead floor` can reach
 //! another site — so the coordinator computes that safe horizon, runs
-//! every site up to it ([`Engine::run_window`], concurrently on a pooled
-//! scoped-thread substrate or inline in the serial reference arm), then
-//! exchanges the accumulated outboxes through the WAN in global send
-//! order and refreshes the dispatch load snapshot, window after window.
-//! Both arms drive the identical coordination loop, so
-//! [`FederationReport::to_json`] is byte-identical at any worker count
-//! and to [`Federation::run_serial`].
+//! every site up to it ([`Engine::run_window`], inline in index order),
+//! then exchanges the accumulated outboxes through the WAN in global
+//! send order and refreshes the dispatch load snapshot, window after
+//! window. The loop is single-threaded and deterministic, so
+//! [`FederationReport::to_json`] is byte-identical for the same
+//! [`ClusterConfig`].
 //!
 //! Each site is a complete, self-driven fabric built by
 //! [`Simulation::new`] from its own [`SimConfig`](holdcsim::config::SimConfig) (derived by
@@ -19,8 +18,6 @@
 //! a federated site whose jobs all stay home retraces the corresponding
 //! standalone run event for event — the property the cross-site
 //! equivalence tests pin down.
-
-use std::sync::Mutex;
 
 use holdcsim::config::ClusterConfig;
 use holdcsim::export::{json_f64, JsonObj};
@@ -32,7 +29,6 @@ use holdcsim_des::time::{SimDuration, SimTime};
 use holdcsim_faults::{FaultEvent, FaultKind};
 use holdcsim_obs::{MetricsData, ObsArtifacts, Observer, ProbePanel};
 
-use crate::pool::run_windows;
 use crate::wan::{Wan, WanReport};
 
 /// One site fabric plus its observability tap.
@@ -139,53 +135,17 @@ impl Federation {
         self.sites[i].model()
     }
 
-    /// Runs the federation to its horizon with the default worker count
-    /// (the machine's available parallelism, capped at the site count)
-    /// and produces the report. Byte-identical to
-    /// [`run_serial`](Federation::run_serial) and to every other worker
-    /// count.
-    pub fn run(self) -> FederationReport {
-        let workers = std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1);
-        self.run_with_workers(workers)
-    }
-
-    /// Runs the federation with exactly `workers` pooled threads burning
-    /// down site windows (clamped to `1..=site_count`; `1` runs inline
-    /// without spawning).
-    pub fn run_with_workers(self, workers: usize) -> FederationReport {
-        self.execute(workers)
-    }
-
-    /// The serial reference arm: the identical conservative-window loop,
-    /// sites advanced inline in index order. Exists so tests (and
-    /// `--fed-serial`) can pin the parallel arms against a thread-free
-    /// execution byte for byte.
-    pub fn run_serial(self) -> FederationReport {
-        self.execute(1)
-    }
-
     /// Runs the conservative-window coordination loop to the horizon and
-    /// assembles the report.
+    /// produces the report.
     #[allow(clippy::disallowed_methods)] // summary-only wall_s; excluded from to_json (see analysis.toml D002 entry)
-    fn execute(self, workers: usize) -> FederationReport {
+    pub fn run(self) -> FederationReport {
         let t0 = std::time::Instant::now();
-        let Federation { sites, mut coord } = self;
-        let cells: Vec<Mutex<SiteEngine>> = sites.into_iter().map(Mutex::new).collect();
-        run_windows(
-            workers,
-            &cells,
-            |engine: &mut SiteEngine, cap| {
-                engine.run_window(cap);
-            },
-            |dispatch| coord.drive(&cells, dispatch),
-        );
+        let Federation {
+            sites: mut engines,
+            mut coord,
+        } = self;
+        coord.drive(&mut engines);
         let horizon = coord.horizon;
-        let mut engines: Vec<SiteEngine> = cells
-            .into_iter()
-            .map(|c| c.into_inner().expect("site cell poisoned"))
-            .collect();
         for e in &mut engines {
             // All events within the horizon are processed; this only
             // advances the site clock to the common end instant.
@@ -216,6 +176,12 @@ impl Federation {
             events_processed: events,
             wall_s,
         }
+    }
+
+    /// Alias of [`run`](Federation::run), kept for callers that name the
+    /// serial arm.
+    pub fn run_serial(self) -> FederationReport {
+        self.run()
     }
 }
 
@@ -365,19 +331,19 @@ struct Coordinator {
 }
 
 impl Coordinator {
-    /// Runs the window loop to the horizon. `dispatch(cap)` must run
-    /// every site engine through [`Engine::run_window`]`(cap)` before
-    /// returning — inline or on the worker pool; the trace cannot tell
-    /// the difference.
-    fn drive(&mut self, cells: &[Mutex<SiteEngine>], dispatch: &mut dyn FnMut(SimTime)) {
+    /// Runs the window loop to the horizon, advancing every site through
+    /// [`Engine::run_window`] in index order at each window.
+    fn drive(&mut self, sites: &mut [SiteEngine]) {
         loop {
-            match self.next_turn(cells) {
-                Turn::Wan(t) => self.wan_turn(cells, t),
-                Turn::Fault(t) => self.fault_turn(cells, t),
+            match self.next_turn(sites) {
+                Turn::Wan(t) => self.wan_turn(sites, t),
+                Turn::Fault(t) => self.fault_turn(sites, t),
                 Turn::Window(cap) => {
-                    self.publish_loads(cells);
-                    dispatch(cap);
-                    self.close_window(cells, cap);
+                    self.publish_loads(sites);
+                    for e in sites.iter_mut() {
+                        e.run_window(cap);
+                    }
+                    self.close_window(sites, cap);
                 }
                 Turn::Done => return,
             }
@@ -389,20 +355,19 @@ impl Coordinator {
     /// precedes same-instant site work), then a due WAN fault (applied
     /// before any site processes events at or past its instant),
     /// otherwise the widest safe site window.
-    fn next_turn(&mut self, cells: &[Mutex<SiteEngine>]) -> Turn {
+    fn next_turn(&mut self, sites: &mut [SiteEngine]) -> Turn {
         let mut earliest: Option<SimTime> = None;
         // The earliest pending site-local fault instant strictly after
         // `earliest`: committed windows close at it so capacity changes
         // reach the load snapshot within one window (see `window_cap`).
         let mut site_fault: Option<SimTime> = None;
-        for cell in cells {
-            let mut guard = cell.lock().expect("site cell");
-            if let Some(t) = guard.peek_next_time() {
+        for e in sites.iter_mut() {
+            if let Some(t) = e.peek_next_time() {
                 if t <= self.horizon && earliest.is_none_or(|b| t < b) {
                     earliest = Some(t);
                 }
             }
-            if let Some(f) = guard.model().next_fault_at(guard.now()) {
+            if let Some(f) = e.model().next_fault_at(e.now()) {
                 if site_fault.is_none_or(|b| f < b) {
                     site_fault = Some(f);
                 }
@@ -470,7 +435,7 @@ impl Coordinator {
     /// in-flight restarts, and parked relaunches happen inside the WAN),
     /// then the lookahead floor and every site's WAN latency snapshot
     /// refresh against the surviving topology.
-    fn fault_turn(&mut self, cells: &[Mutex<SiteEngine>], t: SimTime) {
+    fn fault_turn(&mut self, sites: &mut [SiteEngine], t: SimTime) {
         while let Some(ev) = self.wan_faults.get(self.wan_fault_idx) {
             if SimTime::ZERO + ev.at != t {
                 break;
@@ -488,8 +453,7 @@ impl Coordinator {
             }
         }
         self.lookahead = self.wan.lookahead();
-        for (i, cell) in cells.iter().enumerate() {
-            let mut e = cell.lock().expect("site cell");
+        for (i, e) in sites.iter_mut().enumerate() {
             if let Some(port) = e.model_mut().fed_port_mut() {
                 port.wan_latency_s = self.wan.path_latency_s(i);
             }
@@ -499,12 +463,12 @@ impl Coordinator {
 
     /// Advances the WAN to `t`, scheduling completed deliveries as
     /// first-class events on their destination sites.
-    fn wan_turn(&mut self, cells: &[Mutex<SiteEngine>], t: SimTime) {
+    fn wan_turn(&mut self, sites: &mut [SiteEngine], t: SimTime) {
         let mut deliveries = std::mem::take(&mut self.deliveries);
         deliveries.clear();
         self.wan.advance(t, &mut deliveries);
         for (dst, job) in deliveries.drain(..) {
-            let mut e = cells[dst as usize].lock().expect("site cell");
+            let e = &mut sites[dst as usize];
             let slot = e.model_mut().accept_remote_job(job);
             e.schedule_at(t, DcEvent::RemoteJobArrive { slot });
         }
@@ -514,15 +478,14 @@ impl Coordinator {
 
     /// Recomputes the per-site load snapshot and republishes it into
     /// every [`FedPort`] — only when it actually changed, and only at
-    /// window boundaries (never per event), identically in the serial
-    /// and parallel arms. The denominator is the *surviving* capacity
-    /// (cores minus fault-downed ones): a crash wave inflates the site's
-    /// apparent load so geo dispatch drains away from it within one
-    /// window, and a fully dead site reads as infinitely loaded.
-    fn publish_loads(&mut self, cells: &[Mutex<SiteEngine>]) {
+    /// window boundaries (never per event). The denominator is the
+    /// *surviving* capacity (cores minus fault-downed ones): a crash wave
+    /// inflates the site's apparent load so geo dispatch drains away from
+    /// it within one window, and a fully dead site reads as infinitely
+    /// loaded.
+    fn publish_loads(&mut self, sites: &mut [SiteEngine]) {
         let mut changed = false;
-        for (i, cell) in cells.iter().enumerate() {
-            let e = cell.lock().expect("site cell");
+        for (i, e) in sites.iter().enumerate() {
             let dc = e.model();
             let cap = self.caps[i] - dc.down_cores() as f64;
             let load = if cap > 0.0 {
@@ -538,8 +501,7 @@ impl Coordinator {
         if !changed {
             return;
         }
-        for cell in cells {
-            let mut e = cell.lock().expect("site cell");
+        for e in sites.iter_mut() {
             if let Some(port) = e.model_mut().fed_port_mut() {
                 port.site_loads.clone_from(&self.loads);
             }
@@ -552,10 +514,9 @@ impl Coordinator {
     /// stable), then a site's own event order — interleaving WAN hop
     /// completions due at or before each send exactly as the per-event
     /// coordinator did.
-    fn close_window(&mut self, cells: &[Mutex<SiteEngine>], cap: SimTime) {
+    fn close_window(&mut self, sites: &mut [SiteEngine], cap: SimTime) {
         self.sendbuf.clear();
-        for (i, cell) in cells.iter().enumerate() {
-            let mut e = cell.lock().expect("site cell");
+        for (i, e) in sites.iter_mut().enumerate() {
             if let Some(port) = e.model_mut().fed_port_mut() {
                 for (at, target, job) in port.outbox.drain(..) {
                     self.sendbuf.push((at, i as u32, target, job));
@@ -622,7 +583,7 @@ pub struct FederationReport {
     pub events_processed: u64,
     /// Wall-clock seconds for the whole federated run. Deliberately
     /// excluded from [`FederationReport::to_json`] so exported artifacts
-    /// stay bitwise identical across machines and worker counts.
+    /// stay bitwise identical across machines.
     pub wall_s: f64,
 }
 
@@ -791,11 +752,6 @@ impl FederationReport {
 /// from a shared counter by a scoped thread pool — the same
 /// slot-per-trial scheme as the harness's `run_configs`, so the output
 /// is bitwise identical at every worker count.
-///
-/// Each federation runs its sites serially here: the grid's parallelism
-/// budget is already spent across federations, and nesting a window pool
-/// per federation would only oversubscribe the machine. (The output is
-/// identical either way.)
 pub fn run_federations(configs: Vec<ClusterConfig>, threads: usize) -> Vec<FederationReport> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
@@ -820,7 +776,7 @@ pub fn run_federations(configs: Vec<ClusterConfig>, threads: usize) -> Vec<Feder
                     .expect("job lock")
                     .take()
                     .expect("job taken once");
-                let report = Federation::new(&cfg).run_serial();
+                let report = Federation::new(&cfg).run();
                 *slots[i].lock().expect("slot lock") = Some(report);
             });
         }

@@ -6,10 +6,9 @@
 //! an inter-cluster WAN and a geo-aware dispatch policy.
 //!
 //! * [`Federation`] — the coordinator: advances sites through
-//!   conservative lookahead windows (each site burns down its calendar
-//!   to the next safe WAN horizon, concurrently on a pooled
-//!   scoped-thread substrate or inline in the `run_serial` reference
-//!   arm) and ships forwarded jobs over the WAN as first-class
+//!   conservative lookahead windows (each site, in index order, burns
+//!   down its calendar to the next safe WAN horizon) and ships forwarded
+//!   jobs over the WAN as first-class
 //!   [`holdcsim::sim::DcEvent::RemoteJobArrive`] events on the
 //!   destination site's calendar.
 //! * [`wan::Wan`] — the inter-cluster network: per-link selectable FIFO
@@ -22,9 +21,9 @@
 //! Configuration lives in [`holdcsim::config::ClusterConfig`]; the geo
 //! dispatch policies in [`holdcsim_sched::geo`]. Determinism carries
 //! over from single-fabric runs: same [`ClusterConfig`] ⇒ byte-identical
-//! [`FederationReport`], at any federation worker count (and any
-//! [`run_federations`] worker count) — and a federation whose jobs all
-//! stay home reproduces each site's standalone trajectory exactly.
+//! [`FederationReport`], at any [`run_federations`] worker count — and a
+//! federation whose jobs all stay home reproduces each site's standalone
+//! trajectory exactly.
 //!
 //! [`ClusterConfig`]: holdcsim::config::ClusterConfig
 
@@ -32,7 +31,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod federation;
-pub mod pool;
 pub mod wan;
 
 pub use federation::{run_federations, Federation, FederationReport};
@@ -141,11 +139,11 @@ mod tests {
         assert_eq!(serial, parallel, "reports must not depend on threads");
     }
 
-    /// Tentpole: the window-parallel coordinator is byte-identical to
-    /// the serial reference arm — flow and packet site fabrics, pipe and
-    /// flow WAN links, 1/2/4 workers, asserted on `to_json` bytes.
+    /// The window loop reproduces itself byte for byte — flow and packet
+    /// site fabrics, pipe and flow WAN links, the same config run twice
+    /// and asserted on `to_json` bytes.
     #[test]
-    fn parallel_windows_bitwise_identical_to_serial() {
+    fn window_loop_is_reproducible_across_fabrics_and_wan_modes() {
         for comm in [CommModel::Flow, packet()] {
             for mode in [WanLinkMode::Pipe, WanLinkMode::Flow] {
                 let mut cc = ClusterConfig::uniform(
@@ -158,27 +156,25 @@ mod tests {
                 .with_seed(11);
                 cc.job_bytes = 256 * 1024;
                 cc.sites[0].affinity = Some(3.0);
-                let reference = Federation::new(&cc).run_serial();
+                let first = Federation::new(&cc).run();
                 assert!(
-                    reference.jobs_forwarded() > 0,
-                    "the A/B must exercise the WAN ({comm:?}, {mode:?})"
+                    first.jobs_forwarded() > 0,
+                    "the run must exercise the WAN ({comm:?}, {mode:?})"
                 );
-                let want = reference.to_json();
-                for workers in [1usize, 2, 4] {
-                    let got = Federation::new(&cc).run_with_workers(workers).to_json();
-                    assert_eq!(
-                        got, want,
-                        "{workers} workers diverged from serial ({comm:?}, {mode:?})"
-                    );
-                }
+                let second = Federation::new(&cc).run();
+                assert_eq!(
+                    first.to_json(),
+                    second.to_json(),
+                    "same config diverged between runs ({comm:?}, {mode:?})"
+                );
             }
         }
     }
 
     /// Edge case: a zero-latency WAN collapses the lookahead floor to
     /// zero — windows degenerate to single instants but the loop must
-    /// still terminate (no deadlock, no livelock) and stay byte-equal to
-    /// the serial arm.
+    /// still terminate (no deadlock, no livelock), and the `run_serial`
+    /// alias stays byte-equal to `run`.
     #[test]
     fn zero_lookahead_windows_terminate_and_match_serial() {
         let mut cc = ClusterConfig::uniform(
@@ -191,10 +187,10 @@ mod tests {
         cc.sites[0].affinity = Some(1.0);
         cc.sites[1].affinity = Some(0.0);
         cc.job_bytes = 256 * 1024;
+        let report = Federation::new(&cc).run();
+        assert!(report.jobs_forwarded() > 0, "forced forwarding at floor 0");
         let serial = Federation::new(&cc).run_serial();
-        assert!(serial.jobs_forwarded() > 0, "forced forwarding at floor 0");
-        let parallel = Federation::new(&cc).run_with_workers(2);
-        assert_eq!(serial.to_json(), parallel.to_json());
+        assert_eq!(report.to_json(), serial.to_json());
     }
 
     /// Acceptance: cross-site transfers demonstrably traverse the WAN —

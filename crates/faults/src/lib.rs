@@ -6,7 +6,7 @@
 //! performs no side effects, and all randomness flows through a
 //! [`SimRng`] substream derived from [`FAULT_STREAM`], so the same plan
 //! against the same seed always yields the same concrete event list
-//! regardless of thread count or federation worker count. An empty plan
+//! regardless of thread count. An empty plan
 //! is the explicit "no faults" value: drivers skip every fault code path
 //! and produce bitwise-identical reports to a plan-less run.
 

@@ -43,12 +43,8 @@ pub const DEFAULT_NET_SIZES: &[usize] = &[16, 128];
 /// are ~three orders of magnitude denser than the server-only grid's).
 pub const DEFAULT_NET_DURATION: SimDuration = SimDuration::from_millis(200);
 
-/// The default federation site counts of the multi-datacenter grid (the
-/// 4-site point is the worker-count A/B acceptance case).
+/// The default federation site counts of the multi-datacenter grid.
 pub const DEFAULT_CLUSTERS: &[usize] = &[2, 4];
-
-/// The default worker count of the federation grid's parallel arm.
-pub const DEFAULT_FED_WORKERS: usize = 4;
 
 /// The default per-site farm size of the multi-datacenter grid.
 pub const DEFAULT_CLUSTER_SERVERS: usize = 16;
@@ -78,9 +74,6 @@ pub struct BenchScaleConfig {
     pub cluster_servers: usize,
     /// Simulated horizon per federation point.
     pub cluster_duration: SimDuration,
-    /// Window-pool workers of the federation grid's parallel arm (the
-    /// serial reference arm always runs alongside it, interleaved A/B).
-    pub fed_workers: usize,
     /// Fair-share solver arms of the flow comm model: the default runs
     /// the incremental production solver, the reference solver, and the
     /// cohort-cell solver interleaved (A/B/C on the same grid) and
@@ -115,7 +108,6 @@ impl Default for BenchScaleConfig {
             clusters: DEFAULT_CLUSTERS.to_vec(),
             cluster_servers: DEFAULT_CLUSTER_SERVERS,
             cluster_duration: DEFAULT_NET_DURATION,
-            fed_workers: DEFAULT_FED_WORKERS,
             flow_solvers: vec![
                 FlowSolverKind::Incremental,
                 FlowSolverKind::Reference,
@@ -292,17 +284,10 @@ pub struct FedScalabilityPoint {
     pub jobs: u64,
     /// Jobs forwarded over the WAN.
     pub forwarded: u64,
-    /// Worker threads of the parallel arm.
-    pub fed_workers: usize,
-    /// Wall-clock seconds of the parallel (window-pool) arm.
+    /// Wall-clock seconds of the federated run.
     pub wall_s: f64,
-    /// Events per wall-clock second (parallel arm).
+    /// Events per wall-clock second.
     pub events_per_s: f64,
-    /// Wall-clock seconds of the serial reference arm on the same grid
-    /// point (interleaved A/B; byte-identical report asserted).
-    pub serial_wall_s: f64,
-    /// `serial_wall_s / wall_s` — the conservative-window speedup.
-    pub speedup: f64,
 }
 
 /// The federation configuration of one grid point: `sites` copies of the
@@ -331,18 +316,13 @@ pub fn fed_cluster_config(
 
 /// The multi-datacenter companion to `net_scalability`: the same fabric
 /// federated at each site count, once per communication model, measured
-/// in federation-wide events per wall-clock second. Every grid point is
-/// an interleaved A/B — serial reference arm first, then the
-/// conservative-window parallel arm with `fed_workers` pooled threads —
-/// with the two reports asserted byte-identical before either timing is
-/// recorded.
+/// in federation-wide events per wall-clock second.
 #[allow(clippy::disallowed_methods)] // events/s vs wall-clock is the subject
 pub fn fed_scalability(
     site_counts: &[usize],
     servers_per_site: usize,
     duration: SimDuration,
     seed: u64,
-    fed_workers: usize,
 ) -> Vec<FedScalabilityPoint> {
     let packet = CommModel::Packet {
         mtu: 1_500,
@@ -353,17 +333,8 @@ pub fn fed_scalability(
         for (comm, label) in [(CommModel::Flow, "flow"), (packet, "packet")] {
             let cc = fed_cluster_config(sites, servers_per_site, comm, duration, seed);
             let t0 = Instant::now();
-            let serial = Federation::new(&cc).run_serial();
-            let serial_wall = t0.elapsed().as_secs_f64();
-            let t1 = Instant::now();
-            let report = Federation::new(&cc).run_with_workers(fed_workers);
-            let wall = t1.elapsed().as_secs_f64();
-            assert_eq!(
-                serial.to_json(),
-                report.to_json(),
-                "the parallel federation arm diverged from serial \
-                 ({sites} sites, {label}, {fed_workers} workers)"
-            );
+            let report = Federation::new(&cc).run();
+            let wall = t0.elapsed().as_secs_f64();
             points.push(FedScalabilityPoint {
                 sites,
                 servers_per_site,
@@ -371,11 +342,8 @@ pub fn fed_scalability(
                 events: report.events_processed,
                 jobs: report.jobs_completed(),
                 forwarded: report.jobs_forwarded(),
-                fed_workers,
                 wall_s: wall,
                 events_per_s: report.events_processed as f64 / wall.max(1e-9),
-                serial_wall_s: serial_wall,
-                speedup: serial_wall / wall.max(1e-9),
             });
         }
     }
@@ -395,7 +363,10 @@ pub fn fed_scalability(
 ///              "policy": "round-robin", "sim_duration_s": 2.0,
 ///              "seed": 42, "repeats": 3,
 ///              "network": {"rho": 0.3, "fanout": 8, "edge_bytes": 65536,
-///                          "sim_duration_s": 0.2}},
+///                          "sim_duration_s": 0.2},
+///              "federation": {"servers_per_site": 16,
+///                             "wan_bps": 10000000000, "wan_latency_s": 0.005,
+///                             "geo": "load-balanced", "sim_duration_s": 0.2}},
 ///   "points": [
 ///     {"servers": 16, "events": 15169, "jobs": 7583,
 ///      "wall_s": 0.004, "events_per_s": 3490224.0},
@@ -409,8 +380,7 @@ pub fn fed_scalability(
 ///   "federation_points": [
 ///     {"sites": 2, "servers_per_site": 16, "comm": "flow",
 ///      "events": 240000, "jobs": 1500, "forwarded": 300,
-///      "fed_workers": 4, "wall_s": 0.1, "events_per_s": 2400000.0,
-///      "serial_wall_s": 0.3, "speedup": 3.0},
+///      "wall_s": 0.1, "events_per_s": 2400000.0},
 ///     ...
 ///   ],
 ///   "fault_points": [
@@ -422,11 +392,6 @@ pub fn fed_scalability(
 ///   ]
 /// }
 /// ```
-///
-/// Federation rows are serial-vs-parallel A/B pairs measured on the same
-/// grid point: `wall_s`/`events_per_s` time the `fed_workers`-thread
-/// window-pool arm, `serial_wall_s` the thread-free reference arm, and
-/// `speedup` is their ratio (best repeats kept independently per arm).
 pub fn render_json(
     cfg: &BenchScaleConfig,
     points: &[ScalabilityPoint],
@@ -456,7 +421,6 @@ pub fn render_json(
         .num("wan_latency_s", CLUSTER_WAN_LATENCY.as_secs_f64())
         .str("geo", "load-balanced")
         .num("sim_duration_s", cfg.cluster_duration.as_secs_f64())
-        .int("fed_workers", cfg.fed_workers as u64)
         .finish();
     let config = JsonObj::new()
         .int("cores_per_server", u64::from(SCALABILITY_CORES))
@@ -518,11 +482,8 @@ pub fn render_json(
             .int("events", p.events)
             .int("jobs", p.jobs)
             .int("forwarded", p.forwarded)
-            .int("fed_workers", p.fed_workers as u64)
             .num("wall_s", p.wall_s)
             .num("events_per_s", p.events_per_s)
-            .num("serial_wall_s", p.serial_wall_s)
-            .num("speedup", p.speedup)
             .finish();
         let _ = write!(fed_rows, "{row}");
     }
@@ -620,7 +581,6 @@ pub fn measure(
             cfg.cluster_servers,
             cfg.cluster_duration,
             cfg.seed,
-            cfg.fed_workers,
         );
         let obs_pts = if cfg.obs_overhead {
             obs_scalability(&cfg.net_sizes, cfg.net_duration, cfg.seed)
@@ -653,16 +613,9 @@ pub fn measure(
         }
         for (b, p) in fed_best.iter_mut().zip(fed_pts) {
             debug_assert_eq!(b.events, p.events, "same seed, same event count");
-            // The A/B arms are best-kept independently so scheduler noise
-            // in one repeat's serial leg can't inflate the speedup.
             if p.wall_s < b.wall_s {
-                b.wall_s = p.wall_s;
-                b.events_per_s = p.events_per_s;
+                *b = p;
             }
-            if p.serial_wall_s < b.serial_wall_s {
-                b.serial_wall_s = p.serial_wall_s;
-            }
-            b.speedup = b.serial_wall_s / b.wall_s.max(1e-9);
         }
         for (b, p) in obs_best.iter_mut().zip(obs_pts) {
             debug_assert_eq!(b.events, p.events, "same seed, same event count");
@@ -709,8 +662,7 @@ pub fn run_bench_scale(cfg: &BenchScaleConfig) -> io::Result<PathBuf> {
     }
     for p in &fed_points {
         eprintln!(
-            "[bench-scale] {:>2} sites x {} ({:>6}): {:>9} events ({} fwd) in {:.3} s -> {:.0} events/s \
-             ({} workers, serial {:.3} s, {:.2}x)",
+            "[bench-scale] {:>2} sites x {} ({:>6}): {:>9} events ({} fwd) in {:.3} s -> {:.0} events/s",
             p.sites,
             p.servers_per_site,
             p.comm,
@@ -718,9 +670,6 @@ pub fn run_bench_scale(cfg: &BenchScaleConfig) -> io::Result<PathBuf> {
             p.forwarded,
             p.wall_s,
             p.events_per_s,
-            p.fed_workers,
-            p.serial_wall_s,
-            p.speedup
         );
     }
     for p in &obs_points {
@@ -803,7 +752,6 @@ mod tests {
             clusters: vec![2],
             cluster_servers: 4,
             cluster_duration: SimDuration::from_millis(20),
-            fed_workers: 2,
             flow_solvers: vec![
                 FlowSolverKind::Incremental,
                 FlowSolverKind::Reference,
@@ -851,15 +799,11 @@ mod tests {
             net_pts[3].events > net_pts[0].events,
             "packetized transfers generate more events than flows"
         );
-        // One flow and one packet federation arm per site count, each an
-        // A/B pair carrying both walls and their ratio.
+        // One flow and one packet federation arm per site count.
         assert_eq!(fed_pts.len(), 2);
         assert_eq!((fed_pts[0].comm, fed_pts[1].comm), ("flow", "packet"));
         assert!(fed_pts.iter().all(|p| p.events > 0 && p.sites == 2));
-        assert!(fed_pts.iter().all(|p| p.fed_workers == 2));
-        assert!(fed_pts
-            .iter()
-            .all(|p| p.serial_wall_s > 0.0 && p.speedup > 0.0));
+        assert!(fed_pts.iter().all(|p| p.wall_s > 0.0));
         // One fingerprinting arm per network point, same event stream.
         assert_eq!(obs_pts.len(), 2);
         assert_eq!((obs_pts[0].comm, obs_pts[1].comm), ("flow", "packet"));
@@ -908,9 +852,6 @@ mod tests {
             "\"sites\":2",
             "\"servers_per_site\":4",
             "\"forwarded\":",
-            "\"fed_workers\":2",
-            "\"serial_wall_s\":",
-            "\"speedup\":",
             "\"events\":",
             "\"events_per_s\":",
             "\"wall_s\":",

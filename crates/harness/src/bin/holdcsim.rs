@@ -53,7 +53,7 @@ USAGE:
     holdcsim federate [--sites N] [--servers N] [--cores C] [--rho R] [--preset P]
                    [--affinity w1,w2,...] [--geo POL] [--spill L] [--latency-weight W]
                    [--wan-gbps G] [--wan-latency-ms L] [--wan-mode pipe|flow] [--hub]
-                   [--job-bytes B] [--net] [--fed-workers N | --fed-serial]
+                   [--job-bytes B] [--net]
                    [--faults SPEC|FILE]
                    [--duration SECS] [--seed S] [--json] [OBS]
     holdcsim trace-diff A.json B.json
@@ -61,7 +61,7 @@ USAGE:
                    [--net-sizes 16,128 | none] [--net-duration SECS]
                    [--flow-solver incremental|reference|cohort|both|all]
                    [--clusters 2,4 | none] [--cluster-servers N]
-                   [--cluster-duration SECS] [--fed-workers N]
+                   [--cluster-duration SECS]
                    [--faults default|none|SPEC|FILE]
                    [--seed S] [--repeats N] [--out PATH] [--obs-overhead]
 
@@ -81,10 +81,9 @@ Geo policies: site-local (spill past --spill in-flight jobs/core),
 fabric and RNG substream; add a fat-tree + flow comm with --net) behind
 a full-mesh WAN (--hub for hub-and-spoke), with the aggregate arrival
 rate split by --affinity weights and jobs geo-routed per --geo; prints
-per-site and federation-wide reports. Sites advance concurrently
-through conservative WAN-lookahead windows on --fed-workers pooled
-threads (default: the machine's parallelism); --fed-serial runs the
-thread-free reference arm. Reports are byte-identical either way.
+per-site and federation-wide reports. Sites advance in lockstep
+through conservative WAN-lookahead windows; the same seed gives a
+byte-identical report.
 
 `bench-scale` runs the Table I configuration at each farm size plus a
 network-heavy fat-tree grid (high-fan-out DAGs, flow and packet comm
@@ -163,10 +162,10 @@ fn parse_opts(args: &[String], allowed: &[&str]) -> Result<HashMap<String, Strin
             return Err(format!("unknown option `--{key}`"));
         }
         // Flags (no value): --json, --quick, --hub, --net, --profile,
-        // --obs-overhead, --fed-serial.
+        // --obs-overhead.
         if matches!(
             key,
-            "json" | "quick" | "hub" | "net" | "profile" | "obs-overhead" | "fed-serial"
+            "json" | "quick" | "hub" | "net" | "profile" | "obs-overhead"
         ) {
             opts.insert(key.to_string(), "true".to_string());
             i += 1;
@@ -428,8 +427,6 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
         "duration",
         "seed",
         "json",
-        "fed-workers",
-        "fed-serial",
         "faults",
     ];
     allowed.extend_from_slice(&ObsCli::OPTS);
@@ -451,10 +448,20 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
     if opts.contains_key("net") {
         base.network = Some(NetworkConfig::fat_tree(fat_tree_k_for(servers)));
     }
-    let rate_bps = (parse_num::<f64>(&get("wan-gbps", "10"), "WAN rate")? * 1e9) as u64;
-    let latency = SimDuration::from_secs_f64(
-        parse_num::<f64>(&get("wan-latency-ms", "10"), "WAN latency")? / 1e3,
-    );
+    let gbps: f64 = parse_num(&get("wan-gbps", "10"), "WAN rate")?;
+    let rate_bps = (gbps * 1e9) as u64;
+    if !gbps.is_finite() || rate_bps == 0 {
+        return Err(format!(
+            "--wan-gbps must be a positive, finite rate of at least 1 b/s (got `{gbps}`)"
+        ));
+    }
+    let latency_ms: f64 = parse_num(&get("wan-latency-ms", "10"), "WAN latency")?;
+    if !(latency_ms.is_finite() && latency_ms >= 0.0) {
+        return Err(format!(
+            "--wan-latency-ms must be a non-negative, finite latency (got `{latency_ms}`)"
+        ));
+    }
+    let latency = SimDuration::from_secs_f64(latency_ms / 1e3);
     let mut wan = if opts.contains_key("hub") {
         WanConfig::hub(sites, rate_bps, latency)
     } else {
@@ -479,6 +486,9 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
         .with_geo(geo)
         .with_seed(seed);
     cc.job_bytes = parse_num(&get("job-bytes", "1048576"), "job bytes")?;
+    if cc.job_bytes == 0 {
+        return Err("--job-bytes must be positive: forwarded jobs carry payload".into());
+    }
     if let Some(s) = opts.get("faults") {
         cc.faults = Some(holdcsim_faults::load_plan(s)?);
     }
@@ -494,14 +504,7 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
             spec.affinity = Some(w);
         }
     }
-    let fed = Federation::new(&cc);
-    let report = if opts.contains_key("fed-serial") {
-        fed.run_serial()
-    } else if let Some(w) = opts.get("fed-workers") {
-        fed.run_with_workers(parse_num(w, "federation worker count")?)
-    } else {
-        fed.run()
-    };
+    let report = Federation::new(&cc).run();
     if opts.contains_key("json") {
         println!("{}", report.to_json());
     } else {
@@ -550,7 +553,6 @@ fn cmd_bench_scale(args: &[String]) -> Result<(), String> {
             "clusters",
             "cluster-servers",
             "cluster-duration",
-            "fed-workers",
             "flow-solver",
             "obs-overhead",
             "faults",
@@ -591,9 +593,6 @@ fn cmd_bench_scale(args: &[String]) -> Result<(), String> {
     }
     if let Some(s) = opts.get("cluster-duration") {
         cfg.cluster_duration = SimDuration::from_secs_f64(parse_num(s, "cluster-duration")?);
-    }
-    if let Some(s) = opts.get("fed-workers") {
-        cfg.fed_workers = parse_num(s, "federation worker count")?;
     }
     if let Some(s) = opts.get("flow-solver") {
         cfg.flow_solvers = match s.as_str() {
@@ -694,5 +693,39 @@ mod tests {
             parse_preset(p).unwrap();
         }
         assert!(parse_policy("nope").is_err());
+    }
+
+    fn federate(args: &[&str]) -> Result<(), String> {
+        let mut all = vec!["--sites", "2", "--servers", "2", "--duration", "0.01"];
+        all.extend_from_slice(args);
+        let all: Vec<String> = all.iter().map(|s| s.to_string()).collect();
+        cmd_federate(&all)
+    }
+
+    #[test]
+    fn federate_rejects_non_positive_wan_rates() {
+        for g in ["0", "-1", "nan", "inf", "1e-12"] {
+            let err = federate(&["--wan-gbps", g]).expect_err(g);
+            assert!(err.contains("--wan-gbps"), "{g}: {err}");
+        }
+    }
+
+    #[test]
+    fn federate_rejects_zero_job_bytes() {
+        let err = federate(&["--job-bytes", "0"]).unwrap_err();
+        assert!(err.contains("--job-bytes"), "{err}");
+    }
+
+    #[test]
+    fn federate_rejects_bad_wan_latency() {
+        for l in ["-1", "nan", "inf"] {
+            let err = federate(&["--wan-latency-ms", l]).expect_err(l);
+            assert!(err.contains("--wan-latency-ms"), "{l}: {err}");
+        }
+    }
+
+    #[test]
+    fn federate_accepts_zero_wan_latency() {
+        federate(&["--wan-latency-ms", "0", "--json"]).unwrap();
     }
 }

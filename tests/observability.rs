@@ -123,12 +123,12 @@ fn federation_fingerprints_are_identical_at_any_worker_count() {
     }
 }
 
-/// The conservative-window parallel arms leave byte-identical per-site
+/// The conservative-window loop leaves byte-identical per-site
 /// fingerprint files — the same check `trace-diff` runs, via the same
-/// parse/diff path — at every worker count, on a federation that really
-/// forwards jobs over the WAN.
+/// parse/diff path — when the same config runs twice, on a federation
+/// that really forwards jobs over the WAN.
 #[test]
-fn federation_window_fingerprints_match_serial_at_any_worker_count() {
+fn federation_window_fingerprints_are_identical_across_runs() {
     let cluster = || {
         let mut base = SimConfig::server_farm(
             4,
@@ -146,24 +146,22 @@ fn federation_window_fingerprints_match_serial_at_any_worker_count() {
         cc.sites[1].affinity = Some(0.0);
         cc
     };
-    let reference = Federation::new(&cluster()).run_serial();
-    assert!(reference.jobs_forwarded() > 0, "the WAN must be exercised");
-    for workers in [1usize, 2, 4] {
-        let parallel = Federation::new(&cluster()).run_with_workers(workers);
-        assert_eq!(reference.to_json(), parallel.to_json());
-        for (site, (so, po)) in reference.obs.iter().zip(&parallel.obs).enumerate() {
-            let sf = so.fingerprint_file().expect("fingerprinting is on");
-            let pf = po.fingerprint_file().expect("fingerprinting is on");
-            let (_, ca) = fingerprint::parse_file(&sf).unwrap();
-            let (_, cb) = fingerprint::parse_file(&pf).unwrap();
-            match fingerprint::diff(&ca, &cb) {
-                DiffOutcome::Identical { checkpoints, .. } => {
-                    assert_eq!(checkpoints, ca.len());
-                }
-                other => panic!("site {site} fingerprints diverge at {workers} workers: {other:?}"),
+    let first = Federation::new(&cluster()).run();
+    assert!(first.jobs_forwarded() > 0, "the WAN must be exercised");
+    let second = Federation::new(&cluster()).run();
+    assert_eq!(first.to_json(), second.to_json());
+    for (site, (fo, so)) in first.obs.iter().zip(&second.obs).enumerate() {
+        let ff = fo.fingerprint_file().expect("fingerprinting is on");
+        let sf = so.fingerprint_file().expect("fingerprinting is on");
+        let (_, ca) = fingerprint::parse_file(&ff).unwrap();
+        let (_, cb) = fingerprint::parse_file(&sf).unwrap();
+        match fingerprint::diff(&ca, &cb) {
+            DiffOutcome::Identical { checkpoints, .. } => {
+                assert_eq!(checkpoints, ca.len());
             }
-            assert_eq!(sf, pf, "site {site} file bytes at {workers} workers");
+            other => panic!("site {site} fingerprints diverge between runs: {other:?}"),
         }
+        assert_eq!(ff, sf, "site {site} file bytes differ between runs");
     }
 }
 

@@ -1,6 +1,6 @@
 //! Cross-crate fault-injection properties: an empty plan is bitwise
-//! invisible, fault schedules are deterministic across federation worker
-//! counts and flow-solver arms, and the job ledger reconciles — no
+//! invisible, fault schedules are deterministic across federation runs
+//! and flow-solver arms, and the job ledger reconciles — no
 //! admitted job is ever silently lost.
 
 use holdcsim::config::{ClusterConfig, CommModel, SimConfig, WanConfig};
@@ -66,34 +66,32 @@ fn empty_fault_plan_is_byte_identical_to_plan_less_runs() {
         );
         assert!(baseline.resilience.is_none(), "no resilience section");
     }
-    let baseline = Federation::new(&fed_cfg(None)).run_serial();
-    let armed = Federation::new(&fed_cfg(Some(""))).run_serial();
+    let baseline = Federation::new(&fed_cfg(None)).run();
+    let armed = Federation::new(&fed_cfg(Some(""))).run();
     assert_eq!(baseline.to_json(), armed.to_json());
     assert!(baseline.resilience.is_none());
 }
 
 /// Satellite property: a crash+recover plan (with a WAN partition in the
-/// middle) produces byte-identical federation reports at 1, 2, and 4
-/// workers vs the thread-free serial arm.
+/// middle) produces byte-identical federation reports when the same
+/// config runs twice.
 #[test]
-fn fault_plans_are_byte_identical_across_federation_worker_counts() {
+fn fault_plans_are_byte_identical_across_federation_runs() {
     let plan = "site0.crash@300ms:1; site0.recover@600ms:1; \
                 site1.crash@400ms:0; site1.recover@700ms:0; \
                 wan-down@500ms:0; wan-up@900ms:0";
-    let reference = Federation::new(&fed_cfg(Some(plan))).run_serial();
-    assert!(reference.jobs_forwarded() > 0, "the WAN must be exercised");
-    let r = reference.resilience.expect("fault run reports resilience");
+    let first = Federation::new(&fed_cfg(Some(plan))).run();
+    assert!(first.jobs_forwarded() > 0, "the WAN must be exercised");
+    let r = first.resilience.expect("fault run reports resilience");
     assert_eq!(r.faults_injected, 2, "one crash per site");
     assert!(r.server_downtime_s > 0.0);
     assert!(r.wan_link_downtime_s > 0.0, "the partition really happened");
-    for workers in [1usize, 2, 4] {
-        let parallel = Federation::new(&fed_cfg(Some(plan))).run_with_workers(workers);
-        assert_eq!(
-            reference.to_json(),
-            parallel.to_json(),
-            "fault run diverged at {workers} workers"
-        );
-    }
+    let second = Federation::new(&fed_cfg(Some(plan))).run();
+    assert_eq!(
+        first.to_json(),
+        second.to_json(),
+        "fault run diverged between runs"
+    );
 }
 
 /// Acceptance property: the same fault schedule (a mid-run switch outage
@@ -163,7 +161,7 @@ fn no_admitted_job_is_lost_under_fault_storms() {
     // The federation ledger closes too: unfinished = jobs pending in the
     // site tables plus jobs caught mid-WAN at the horizon.
     let plan = "site0.crash@300ms:1; site0.recover@600ms:1; wan-down@500ms:0; wan-up@900ms:0";
-    let report = Federation::new(&fed_cfg(Some(plan))).run_serial();
+    let report = Federation::new(&fed_cfg(Some(plan))).run();
     let r = report.resilience.expect("resilience reported");
     let mid_wan = report.wan.transfers - report.wan.delivered;
     assert_eq!(

@@ -142,10 +142,9 @@ fn miri(root: &Path, require: bool) -> ExitCode {
 }
 
 /// `cargo xtask tsan`: build std + the scoped-thread tests with
-/// ThreadSanitizer and run the worker-count determinism suites (the
-/// harness executor, the federation grid runner, and the federation's
-/// conservative-window pool — `parallel_windows_bitwise_identical_to_serial`
-/// matches the filter — are the places real threads touch shared state).
+/// ThreadSanitizer and run the thread-count determinism suites (the
+/// harness executor and the federation grid runner are the places real
+/// threads touch shared state).
 fn tsan(root: &Path, require: bool) -> ExitCode {
     if !nightly_has("rust-src") {
         return skip_or_fail(
@@ -175,9 +174,7 @@ fn tsan(root: &Path, require: bool) -> ExitCode {
         .status();
     match status {
         Ok(s) if s.success() => {
-            println!(
-                "xtask tsan: PASS (harness executor + federation grid + window pool under TSan)"
-            );
+            println!("xtask tsan: PASS (harness executor + federation grid under TSan)");
             ExitCode::SUCCESS
         }
         Ok(_) => ExitCode::from(1),
@@ -202,8 +199,8 @@ fn host_triple() -> String {
 
 /// `cargo xtask determinism`: the dynamic closing of the loop — run the
 /// same seed twice through `holdcsim run --fingerprint`, and twice
-/// through the federation's 4-worker conservative-window arm
-/// (`holdcsim federate --fed-workers 4`), with the binary the static
+/// through the federation's conservative-window loop
+/// (`holdcsim federate --fingerprint`), with the binary the static
 /// gate just blessed, and require `trace-diff` to report identical
 /// (per site, for the federated pair). A hazard the lints missed that
 /// reaches the event stream shows up here as a bisected divergence.
@@ -269,8 +266,7 @@ fn determinism(root: &Path, release: bool) -> ExitCode {
             }
         }
         diff_identical(&fp_a, &fp_b)?;
-        // Arm 2: a forwarding federation on the 4-worker window pool,
-        // same seed twice; per-site fingerprints are written as
+        // Arm 2: a forwarding federation, same seed twice; per-site fingerprints are written as
         // fed_X.site0.json / fed_X.site1.json.
         for name in ["fed_a.json", "fed_b.json"] {
             let status = Command::new(&bin)
@@ -289,15 +285,13 @@ fn determinism(root: &Path, release: bool) -> ExitCode {
                     "load-balanced",
                     "--affinity",
                     "2,1",
-                    "--fed-workers",
-                    "4",
                     "--fingerprint",
                 ])
                 .arg(tmp.join(name))
                 .stdout(std::process::Stdio::null())
                 .status();
             if !matches!(status, Ok(s) if s.success()) {
-                return Err("`holdcsim federate --fed-workers 4 --fingerprint` failed".into());
+                return Err("`holdcsim federate --fingerprint` failed".into());
             }
         }
         for site in ["site0", "site1"] {
@@ -315,7 +309,7 @@ fn determinism(root: &Path, release: bool) -> ExitCode {
         Ok(()) => {
             println!(
                 "xtask determinism: PASS (same seed twice ⇒ trace-diff identical, \
-                 run + federate --fed-workers 4)"
+                 run + federate)"
             );
             ExitCode::SUCCESS
         }
