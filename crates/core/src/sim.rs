@@ -16,6 +16,7 @@ use holdcsim_network::ids::{FlowId, LinkId, NodeId, PacketId};
 use holdcsim_network::packet::{Packet, TxOutcome};
 use holdcsim_network::routing::Route;
 use holdcsim_obs::{EventInfo, ObsArtifacts, Observer, ProbeSource, TraceEvent};
+use holdcsim_sched::free_cores::FreeCores;
 use holdcsim_sched::geo::{route_site, GeoPolicy};
 use holdcsim_sched::policy::{
     ClusterView, GlobalPolicy, LeastLoaded, NetworkAware, NetworkCost, NoNetworkCost, PackFirst,
@@ -415,7 +416,13 @@ pub struct Datacenter {
     /// so admissions that only push completions *later* enqueue nothing.
     flow_check_armed: SimTime,
     /// Per-server tasks committed but still waiting on inbound transfers.
+    /// Changed only through [`Datacenter::commit`] and
+    /// [`Datacenter::uncommit`], which keep `free` in step.
     committed: Vec<u32>,
+    /// Bit `i` ⇔ server `i` has a free core counting `committed[i]`.
+    /// Refreshed after every server call ([`Datacenter::apply_effects`]),
+    /// committed-count change and crash.
+    free: FreeCores,
     /// Federation attachment (multi-datacenter runs only).
     fed: Option<FedPort>,
     /// Jobs delivered by the WAN but not yet admitted (slot keys ride in
@@ -562,6 +569,8 @@ impl Datacenter {
             scratch_flow_done: Vec::new(),
             flow_check_armed: SimTime::ZERO,
             committed: vec![0; cfg.server_count],
+            // Fresh servers are awake and empty: every bit starts set.
+            free: FreeCores::all_free(cfg.server_count),
             fed: None,
             remote_inbox: SlotWindow::new(),
             faults,
@@ -569,6 +578,11 @@ impl Datacenter {
             cfg,
         };
         dc.rebuild_eligible();
+        debug_assert_eq!(
+            dc.free,
+            FreeCores::from_servers(&dc.servers, &dc.committed),
+            "a fresh farm starts with every core free"
+        );
         dc
     }
 
@@ -788,7 +802,7 @@ impl Datacenter {
         if candidates.is_empty() {
             return None;
         }
-        let view = ClusterView::with_committed(&self.servers, &self.committed);
+        let view = ClusterView::with_committed(&self.servers, &self.committed, &self.free);
         if use_costs {
             let probe = CostTable(&self.cost_scratch);
             self.policy.select(&view, candidates, &probe)
@@ -861,7 +875,7 @@ impl Datacenter {
             .get_mut(job)
             .add_transfers(t, inbound.len() as u32);
         let dispatch = self.dispatch_slots.insert((sid, handle));
-        self.committed[sid.0 as usize] += 1;
+        self.commit(sid);
         for &(_, bytes, src) in &inbound {
             if !self.start_transfer(ctx, dispatch, job, t, src, sid, bytes) {
                 // No surviving route (mid-fault only): drop the dispatch
@@ -987,7 +1001,7 @@ impl Datacenter {
                 .dispatch_slots
                 .remove(dispatch)
                 .expect("pending dispatch");
-            self.committed[sid.0 as usize] -= 1;
+            self.uncommit(sid);
             self.dispatch(ctx, sid, handle);
         }
     }
@@ -1221,7 +1235,7 @@ impl Datacenter {
             self.touch_access_port(ctx, sid, req);
         }
         self.servers[sid.0 as usize].submit(ctx.now(), handle, &mut self.fx);
-        Self::apply_effects(ctx, sid, &self.fx, self.crash_gen(sid));
+        self.apply_effects(ctx, sid);
     }
 
     /// Marks `sid`'s access-link switch port active for a transmission of
@@ -1278,13 +1292,14 @@ impl Datacenter {
             .map_or(0, |f| f.crash_gen[sid.0 as usize])
     }
 
-    /// Schedules the follow-up events for the effects a server call left in
-    /// `fx`, stamping completion/transition events with the server's crash
-    /// generation `gen`. Associated (not `&mut self`) so the reusable
-    /// buffer can be borrowed from `self` at every call site without
-    /// conflict.
-    fn apply_effects(ctx: &mut Context<'_, DcEvent>, sid: ServerId, fx: &EffectBuf, gen: u32) {
-        for &e in fx.as_slice() {
+    /// Schedules the follow-up events for the effects a call on server
+    /// `sid` left in `fx`, stamping completion/transition events with the
+    /// server's crash generation, and refreshes `sid`'s free-core bit.
+    /// Every server call goes through here (crashes through
+    /// [`Datacenter::refresh_free`]), so the index never lags a server.
+    fn apply_effects(&mut self, ctx: &mut Context<'_, DcEvent>, sid: ServerId) {
+        let gen = self.crash_gen(sid);
+        for &e in self.fx.as_slice() {
             match e {
                 Effect::TaskStarted {
                     core,
@@ -1309,6 +1324,26 @@ impl Datacenter {
                 }
             }
         }
+        self.refresh_free(sid);
+    }
+
+    /// Re-evaluates `sid`'s free-core bit from its server and committed
+    /// count.
+    fn refresh_free(&mut self, sid: ServerId) {
+        let i = sid.0 as usize;
+        self.free.refresh(sid, &self.servers[i], self.committed[i]);
+    }
+
+    /// Commits one task to `sid` ahead of its inbound transfers.
+    fn commit(&mut self, sid: ServerId) {
+        self.committed[sid.0 as usize] += 1;
+        self.refresh_free(sid);
+    }
+
+    /// Releases one committed task on `sid` (dispatched or killed).
+    fn uncommit(&mut self, sid: ServerId) {
+        self.committed[sid.0 as usize] -= 1;
+        self.refresh_free(sid);
     }
 
     fn on_task_complete(
@@ -1321,7 +1356,7 @@ impl Datacenter {
         let now = ctx.now();
         let tid = self.servers[sid.0 as usize].complete(now, core, &mut self.fx);
         debug_assert_eq!(tid, expected, "completion event routed to wrong core");
-        Self::apply_effects(ctx, sid, &self.fx, self.crash_gen(sid));
+        self.apply_effects(ctx, sid);
         // Response traffic back up the access link, if modeled.
         if let Some((_, resp)) = self.net.as_ref().and_then(|n| n.ingress_bytes) {
             self.touch_access_port(ctx, sid, resp);
@@ -1586,9 +1621,9 @@ impl Datacenter {
                         self.cfg.policy_for(id.0 as usize),
                         &mut self.fx,
                     );
-                    Self::apply_effects(ctx, id, &self.fx, self.crash_gen(id));
+                    self.apply_effects(ctx, id);
                     self.servers[id.0 as usize].request_wake(now, &mut self.fx);
-                    Self::apply_effects(ctx, id, &self.fx, self.crash_gen(id));
+                    self.apply_effects(ctx, id);
                     self.set_eligible(id, true);
                 }
             }
@@ -1599,9 +1634,9 @@ impl Datacenter {
                         _ => unreachable!("promotion without pools"),
                     };
                     self.servers[id.0 as usize].set_policy(now, pool_policy, &mut self.fx);
-                    Self::apply_effects(ctx, id, &self.fx, self.crash_gen(id));
+                    self.apply_effects(ctx, id);
                     self.servers[id.0 as usize].request_wake(now, &mut self.fx);
-                    Self::apply_effects(ctx, id, &self.fx, self.crash_gen(id));
+                    self.apply_effects(ctx, id);
                     self.set_eligible(id, true);
                 }
             }
@@ -1612,7 +1647,7 @@ impl Datacenter {
                         _ => unreachable!("demotion without pools"),
                     };
                     self.servers[id.0 as usize].set_policy(now, pool_policy, &mut self.fx);
-                    Self::apply_effects(ctx, id, &self.fx, self.crash_gen(id));
+                    self.apply_effects(ctx, id);
                 }
                 self.set_eligible(id, false);
             }
@@ -1653,7 +1688,7 @@ impl Datacenter {
                 .collect();
             for (id, pol) in actions {
                 self.servers[id.0 as usize].set_policy(now, pol, &mut self.fx);
-                Self::apply_effects(ctx, id, &self.fx, self.crash_gen(id));
+                self.apply_effects(ctx, id);
             }
             self.rebuild_eligible();
         } else {
@@ -1665,7 +1700,7 @@ impl Datacenter {
                 if pol.deep_after.is_some() {
                     self.servers[i].set_policy(now, pol, &mut self.fx);
                     let id = ServerId(i as u32);
-                    Self::apply_effects(ctx, id, &self.fx, self.crash_gen(id));
+                    self.apply_effects(ctx, id);
                 }
             }
         }
@@ -1743,6 +1778,7 @@ impl Datacenter {
         let mut killed = std::mem::take(&mut self.faults.as_mut().expect("state").scratch_killed);
         killed.clear();
         self.servers[idx].fail(now, &mut killed);
+        self.refresh_free(sid);
         // Tasks committed to this server but still awaiting inbound
         // transfers die with it (slot-key order keeps this deterministic).
         let doomed: Vec<u64> = self
@@ -1786,7 +1822,7 @@ impl Datacenter {
         let sid = ServerId(server);
         self.set_eligible(sid, true);
         self.servers[idx].request_wake(now, &mut self.fx);
-        Self::apply_effects(ctx, sid, &self.fx, self.crash_gen(sid));
+        self.apply_effects(ctx, sid);
         true
     }
 
@@ -2004,7 +2040,7 @@ impl Datacenter {
     fn kill_dispatch(&mut self, ctx: &mut Context<'_, DcEvent>, slot: u64) -> Option<(JobId, u32)> {
         let now = ctx.now();
         let (sid, handle) = self.dispatch_slots.remove(slot)?;
-        self.committed[sid.0 as usize] -= 1;
+        self.uncommit(sid);
         match self.net.as_ref().map(|n| n.comm) {
             Some(CommModel::Flow) => {
                 let feeding: Vec<u64> = self
@@ -2144,14 +2180,14 @@ impl Model for Datacenter {
             }
             DcEvent::ServerTimer { server, gen } => {
                 self.servers[server.0 as usize].timer_fired(ctx.now(), gen, &mut self.fx);
-                Self::apply_effects(ctx, server, &self.fx, self.crash_gen(server));
+                self.apply_effects(ctx, server);
             }
             DcEvent::ServerTransition { server, gen } => {
                 if gen != self.crash_gen(server) {
                     return;
                 }
                 self.servers[server.0 as usize].transition_done(ctx.now(), &mut self.fx);
-                Self::apply_effects(ctx, server, &self.fx, self.crash_gen(server));
+                self.apply_effects(ctx, server);
                 self.pull_global_queue(ctx, server);
                 // Transfer admissions from the pulls above are batched.
                 self.schedule_flow_retimes(ctx);

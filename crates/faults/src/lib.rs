@@ -248,6 +248,26 @@ impl FaultPlan {
         Ok(plan)
     }
 
+    /// Checks every server-targeted entry (crash, recover, straggle and
+    /// MTBF arms) against a farm of `servers` servers per site; the error
+    /// names the first entry whose target is out of range.
+    pub fn check_server_targets(&self, servers: usize) -> Result<(), String> {
+        let scripted = self.events.iter().filter_map(|e| match e.kind {
+            FaultKind::ServerCrash { server }
+            | FaultKind::ServerRecover { server }
+            | FaultKind::ServerStraggle { server, .. }
+            | FaultKind::ServerStraggleEnd { server } => Some((e.kind.label(), server)),
+            _ => None,
+        });
+        let arms = self.random.iter().map(|r| ("mtbf", r.server));
+        match scripted.chain(arms).find(|&(_, s)| s as usize >= servers) {
+            Some((label, server)) => Err(format!(
+                "fault `{label}` targets server {server}, but the farm has {servers} server(s) (ids 0..{servers})"
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// The non-WAN entries owned by `site`, with site fields cleared —
     /// the sub-plan a federation hands to that site's standalone config.
     pub fn for_site(&self, site: u32) -> FaultPlan {

@@ -181,6 +181,37 @@ fn parse_opts(args: &[String], allowed: &[&str]) -> Result<HashMap<String, Strin
     Ok(opts)
 }
 
+/// The `--servers`, `--cores` and `--rho` of a farm, each checked so the
+/// simulator's constructors cannot panic on them.
+fn farm_args(get: &dyn Fn(&str, &str) -> String) -> Result<(usize, u32, f64), String> {
+    let servers: usize = parse_num(&get("servers", "8"), "server count")?;
+    if servers == 0 {
+        return Err("--servers must be at least 1".into());
+    }
+    let cores: u32 = parse_num(&get("cores", "4"), "core count")?;
+    if cores == 0 {
+        return Err("--cores must be at least 1".into());
+    }
+    let rho: f64 = parse_num(&get("rho", "0.3"), "utilization")?;
+    if !(rho.is_finite() && rho > 0.0) {
+        return Err(format!(
+            "--rho must be a positive, finite utilization (got `{rho}`)"
+        ));
+    }
+    Ok((servers, cores, rho))
+}
+
+/// A `--duration` in simulated seconds: finite and non-negative.
+fn duration_arg(s: &str) -> Result<SimDuration, String> {
+    let secs: f64 = parse_num(s, "duration")?;
+    if !(secs.is_finite() && secs >= 0.0) {
+        return Err(format!(
+            "--duration must be a non-negative, finite number of seconds (got `{secs}`)"
+        ));
+    }
+    Ok(SimDuration::from_secs_f64(secs))
+}
+
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let mut allowed = vec![
         "servers",
@@ -200,11 +231,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let opts = parse_opts(args, &allowed)?;
     let obs = ObsCli::from_opts(&opts)?;
     let get = |k: &str, d: &str| opts.get(k).cloned().unwrap_or_else(|| d.to_string());
-    let servers: usize = parse_num(&get("servers", "8"), "server count")?;
-    let cores: u32 = parse_num(&get("cores", "4"), "core count")?;
-    let rho: f64 = parse_num(&get("rho", "0.3"), "utilization")?;
+    let (servers, cores, rho) = farm_args(&get)?;
     let preset = parse_preset(&get("preset", "web-search"))?;
-    let duration = SimDuration::from_secs_f64(parse_num(&get("duration", "30"), "duration")?);
+    let duration = duration_arg(&get("duration", "30"))?;
     let seed: u64 = parse_num(&get("seed", "42"), "seed")?;
     let cfg = match opts.get("tau") {
         Some(t) if t != "active-idle" => holdcsim::experiments::delay_timer_farm(
@@ -245,7 +274,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         return Err("--flow-solver requires --net".to_string());
     }
     if let Some(s) = opts.get("faults") {
-        cfg.faults = Some(holdcsim_faults::load_plan(s)?);
+        let plan = holdcsim_faults::load_plan(s)?;
+        plan.check_server_targets(servers)
+            .map_err(|e| format!("--faults: {e}"))?;
+        cfg.faults = Some(plan);
     }
     cfg.obs = obs.cfg;
     let (report, arts) = Simulation::new(cfg).run_with_obs();
@@ -437,11 +469,9 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
     if sites == 0 {
         return Err("a federation needs at least one site".into());
     }
-    let servers: usize = parse_num(&get("servers", "8"), "server count")?;
-    let cores: u32 = parse_num(&get("cores", "4"), "core count")?;
-    let rho: f64 = parse_num(&get("rho", "0.3"), "utilization")?;
+    let (servers, cores, rho) = farm_args(&get)?;
     let preset = parse_preset(&get("preset", "web-search"))?;
-    let duration = SimDuration::from_secs_f64(parse_num(&get("duration", "10"), "duration")?);
+    let duration = duration_arg(&get("duration", "10"))?;
     let seed: u64 = parse_num(&get("seed", "42"), "seed")?;
     let mut base = SimConfig::server_farm(servers, cores, rho, preset.template(), duration);
     base.obs = obs.cfg;
@@ -490,7 +520,10 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
         return Err("--job-bytes must be positive: forwarded jobs carry payload".into());
     }
     if let Some(s) = opts.get("faults") {
-        cc.faults = Some(holdcsim_faults::load_plan(s)?);
+        let plan = holdcsim_faults::load_plan(s)?;
+        plan.check_server_targets(servers)
+            .map_err(|e| format!("--faults: {e}"))?;
+        cc.faults = Some(plan);
     }
     if let Some(s) = opts.get("affinity") {
         let weights: Vec<f64> = parse_list(s, |x| parse_num(x, "affinity weight"))?;

@@ -16,7 +16,8 @@
 //!     .collect();
 //! let ids: Vec<ServerId> = (0..4).map(ServerId).collect();
 //! let mut policy = LeastLoaded::new();
-//! let view = ClusterView::new(&servers);
+//! let free = FreeCores::from_servers(&servers, &[0; 4]);
+//! let view = ClusterView::new(&servers, &free);
 //! let pick = policy.select(&view, &ids, &NoNetworkCost);
 //! assert_eq!(pick, Some(ServerId(0)));
 //! ```
@@ -24,12 +25,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod free_cores;
 pub mod geo;
 pub mod policy;
 pub mod pools;
 pub mod provisioning;
 pub mod queue;
 
+pub use free_cores::FreeCores;
 pub use geo::{route_site, GeoPolicy};
 pub use policy::{
     ClusterView, GlobalPolicy, LeastLoaded, NetworkAware, NetworkCost, NoNetworkCost, PackFirst,
@@ -41,6 +44,7 @@ pub use queue::GlobalQueue;
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
+    pub use crate::free_cores::FreeCores;
     pub use crate::geo::{route_site, GeoPolicy};
     pub use crate::policy::{
         ClusterView, GlobalPolicy, LeastLoaded, NetworkAware, NetworkCost, NoNetworkCost,

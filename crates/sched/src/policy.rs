@@ -3,6 +3,8 @@
 use holdcsim_des::rng::SimRng;
 use holdcsim_server::server::{Server, ServerId};
 
+use crate::free_cores::{self, FreeCores};
+
 /// A probe for the network cost of activating a server — "the amount of
 /// additional switches to be woken up in order to allow communications to
 /// that server" (§IV-D). Implemented by the simulation driver over its
@@ -22,21 +24,34 @@ impl NetworkCost for NoNetworkCost {
     }
 }
 
-/// What placement policies see of the cluster: the servers plus any
+/// What placement policies see of the cluster: the servers, any
 /// driver-side load not yet visible inside them (tasks committed to a
-/// server but still waiting on inbound network transfers).
+/// server but still waiting on inbound network transfers), and the
+/// [`FreeCores`] index over both, which makes [`ClusterView::first_free`]
+/// cost `O(N/64 + log N)` rather than a probe per server.
+///
+/// The caller keeps `free` in step with `servers` and `committed`; debug
+/// builds check every [`ClusterView::first_free`] answer against a linear
+/// scan.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterView<'a> {
     servers: &'a [Server],
     committed: Option<&'a [u32]>,
+    free: &'a FreeCores,
 }
 
 impl<'a> ClusterView<'a> {
     /// A view with no extra committed load.
-    pub fn new(servers: &'a [Server]) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `free` does not cover exactly the servers.
+    pub fn new(servers: &'a [Server], free: &'a FreeCores) -> Self {
+        assert_eq!(servers.len(), free.len(), "one free-core bit per server");
         ClusterView {
             servers,
             committed: None,
+            free,
         }
     }
 
@@ -45,16 +60,20 @@ impl<'a> ClusterView<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the slice length does not match the server count.
-    pub fn with_committed(servers: &'a [Server], committed: &'a [u32]) -> Self {
+    /// Panics if the slice or index lengths do not match the server count.
+    pub fn with_committed(
+        servers: &'a [Server],
+        committed: &'a [u32],
+        free: &'a FreeCores,
+    ) -> Self {
         assert_eq!(
             servers.len(),
             committed.len(),
             "one committed count per server"
         );
         ClusterView {
-            servers,
             committed: Some(committed),
+            ..Self::new(servers, free)
         }
     }
 
@@ -71,19 +90,39 @@ impl<'a> ClusterView<'a> {
     /// `true` if `id` can start a task immediately (awake, free core, and
     /// no committed backlog racing for that core).
     pub fn has_free_core(&self, id: ServerId) -> bool {
-        let s = self.server(id);
-        s.is_awake() && (self.pending(id) as u32) < s.core_count()
+        let committed = self.committed.map_or(0, |c| c[id.0 as usize]);
+        free_cores::has_free_core(self.server(id), committed)
+    }
+
+    /// The lowest-id member of `eligible` with a free core (see
+    /// [`ClusterView::has_free_core`]), read from the [`FreeCores`] index in
+    /// `O(N/64 + log N)` for a run of consecutive ids (see
+    /// [`FreeCores::first_in`]). `eligible` must be ascending by id.
+    pub fn first_free(&self, eligible: &[ServerId]) -> Option<ServerId> {
+        let pick = self.free.first_in(eligible);
+        debug_assert!(
+            eligible.windows(2).all(|w| w[0] < w[1]),
+            "eligible servers must be ascending by id"
+        );
+        debug_assert_eq!(
+            pick,
+            eligible.iter().copied().find(|&id| self.has_free_core(id)),
+            "free-core index out of step with the servers"
+        );
+        pick
     }
 }
 
 /// A global task-placement policy.
 ///
 /// `eligible` is the candidate set (the driver filters by server class and
-/// pool membership); policies must return a member of it, or `None` to
-/// leave the task in the global queue.
-/// (The `Send` supertrait lets a boxed policy — and with it a whole site
-/// `Datacenter` — cross into a worker thread, which the federation's
-/// conservative-window coordinator relies on to run sites concurrently.)
+/// pool membership), ascending by id — [`ClusterView::first_free`] and
+/// [`RoundRobin`]'s cursor rely on that order. Policies must return a
+/// member of it, or `None` to leave the task in the global queue.
+/// (The `Send` supertrait keeps a built `Simulation` movable across
+/// threads. Nothing in the workspace moves one today: the harness's sweep
+/// executor and `run_federations` build each simulation inside its worker
+/// thread from a config.)
 pub trait GlobalPolicy: std::fmt::Debug + Send {
     /// Chooses a server for one task.
     fn select(
@@ -164,6 +203,9 @@ impl GlobalPolicy for LeastLoaded {
 /// the task immediately; only spill to sleeping/busy servers when every
 /// awake server is saturated. This is the dispatcher that lets delay-timer
 /// policies actually find idle periods (§IV-A/B).
+///
+/// The first choice is [`ClusterView::first_free`], `O(N/64 + log N)` over
+/// the free-core index; the least-loaded fallback scans the candidates.
 #[derive(Debug, Default)]
 pub struct PackFirst;
 
@@ -182,7 +224,7 @@ impl GlobalPolicy for PackFirst {
         _net: &dyn NetworkCost,
     ) -> Option<ServerId> {
         // First choice: lowest-id awake server with a free core.
-        if let Some(id) = eligible.iter().copied().find(|&id| view.has_free_core(id)) {
+        if let Some(id) = view.first_free(eligible) {
             return Some(id);
         }
         // Second: the least-loaded awake server (queue there).
@@ -284,8 +326,15 @@ mod tests {
     use holdcsim_server::task::TaskHandle;
     use holdcsim_workload::ids::{JobId, TaskId};
 
-    fn view(servers: &[Server]) -> ClusterView<'_> {
-        ClusterView::new(servers)
+    /// One placement against a view (and free-core index) of `servers`.
+    fn pick(
+        p: &mut dyn GlobalPolicy,
+        servers: &[Server],
+        ids: &[ServerId],
+        net: &dyn NetworkCost,
+    ) -> Option<ServerId> {
+        let free = FreeCores::from_servers(servers, &vec![0; servers.len()]);
+        p.select(&ClusterView::new(servers, &free), ids, net)
     }
 
     fn cluster(n: u32) -> (Vec<Server>, Vec<ServerId>) {
@@ -312,7 +361,7 @@ mod tests {
         let (servers, ids) = cluster(3);
         let mut p = RoundRobin::new();
         let picks: Vec<u32> = (0..6)
-            .map(|_| p.select(&view(&servers), &ids, &NoNetworkCost).unwrap().0)
+            .map(|_| pick(&mut p, &servers, &ids, &NoNetworkCost).unwrap().0)
             .collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
@@ -321,7 +370,7 @@ mod tests {
     fn round_robin_empty_eligible() {
         let (servers, _) = cluster(1);
         let mut p = RoundRobin::new();
-        assert_eq!(p.select(&view(&servers), &[], &NoNetworkCost), None);
+        assert_eq!(pick(&mut p, &servers, &[], &NoNetworkCost), None);
     }
 
     #[test]
@@ -331,7 +380,7 @@ mod tests {
         load(&mut servers, ServerId(1), 1);
         let mut p = LeastLoaded::new();
         assert_eq!(
-            p.select(&view(&servers), &ids, &NoNetworkCost),
+            pick(&mut p, &servers, &ids, &NoNetworkCost),
             Some(ServerId(2))
         );
     }
@@ -341,7 +390,7 @@ mod tests {
         let (servers, ids) = cluster(3);
         let mut p = LeastLoaded::new();
         assert_eq!(
-            p.select(&view(&servers), &ids, &NoNetworkCost),
+            pick(&mut p, &servers, &ids, &NoNetworkCost),
             Some(ServerId(0))
         );
     }
@@ -353,13 +402,13 @@ mod tests {
         load(&mut servers, ServerId(0), 1);
         let mut p = PackFirst::new();
         assert_eq!(
-            p.select(&view(&servers), &ids, &NoNetworkCost),
+            pick(&mut p, &servers, &ids, &NoNetworkCost),
             Some(ServerId(0))
         );
         // Saturate 0: next free-core server is 1.
         load(&mut servers, ServerId(0), 1);
         assert_eq!(
-            p.select(&view(&servers), &ids, &NoNetworkCost),
+            pick(&mut p, &servers, &ids, &NoNetworkCost),
             Some(ServerId(1))
         );
     }
@@ -371,7 +420,7 @@ mod tests {
         load(&mut servers, ServerId(1), 3);
         let mut p = PackFirst::new();
         assert_eq!(
-            p.select(&view(&servers), &ids, &NoNetworkCost),
+            pick(&mut p, &servers, &ids, &NoNetworkCost),
             Some(ServerId(1))
         );
     }
@@ -382,8 +431,8 @@ mod tests {
         let ids = vec![ServerId(1), ServerId(3)];
         let mut p = Random::new(9);
         for _ in 0..32 {
-            let pick = p.select(&view(&servers), &ids, &NoNetworkCost).unwrap();
-            assert!(ids.contains(&pick));
+            let chosen = pick(&mut p, &servers, &ids, &NoNetworkCost).unwrap();
+            assert!(ids.contains(&chosen));
         }
     }
 
@@ -400,7 +449,7 @@ mod tests {
         // All free; server 2's path is cheapest.
         let net = FixedCost(vec![2.0, 1.0, 0.0]);
         let mut p = NetworkAware::new();
-        assert_eq!(p.select(&view(&servers), &ids, &net), Some(ServerId(2)));
+        assert_eq!(pick(&mut p, &servers, &ids, &net), Some(ServerId(2)));
     }
 
     #[test]
@@ -412,7 +461,7 @@ mod tests {
         // server 1 is awake with a free core, so it wins despite cost.
         let net = FixedCost(vec![0.0, 10.0]);
         let mut p = NetworkAware::new();
-        assert_eq!(p.select(&view(&servers), &ids, &net), Some(ServerId(1)));
+        assert_eq!(pick(&mut p, &servers, &ids, &net), Some(ServerId(1)));
     }
 
     #[test]
@@ -429,7 +478,8 @@ mod tests {
         let (servers, ids) = cluster(2);
         // Both empty, but server 0 has 3 committed transfers inbound.
         let committed = vec![3u32, 0];
-        let v = ClusterView::with_committed(&servers, &committed);
+        let free = FreeCores::from_servers(&servers, &committed);
+        let v = ClusterView::with_committed(&servers, &committed, &free);
         let mut p = LeastLoaded::new();
         assert_eq!(p.select(&v, &ids, &NoNetworkCost), Some(ServerId(1)));
         assert_eq!(v.pending(ServerId(0)), 3);

@@ -360,6 +360,8 @@ pub struct Server {
     cfg: ServerConfig,
     mode: ServerMode,
     running: Vec<Option<TaskHandle>>,
+    /// Occupied `running` slots, kept in step with every fill and take.
+    busy: u32,
     /// Core indices in dispatch preference order (fastest first).
     dispatch_order: Vec<u32>,
     queues: LocalQueues,
@@ -421,6 +423,7 @@ impl Server {
         let mut s = Server {
             id,
             running: vec![None; cfg.cores as usize],
+            busy: 0,
             dispatch_order,
             queues,
             mode,
@@ -459,7 +462,12 @@ impl Server {
 
     /// Number of cores currently executing tasks.
     pub fn busy_cores(&self) -> u32 {
-        self.running.iter().filter(|r| r.is_some()).count() as u32
+        debug_assert_eq!(
+            self.busy as usize,
+            self.running.iter().filter(|r| r.is_some()).count(),
+            "busy-core count out of step with the running slots"
+        );
+        self.busy
     }
 
     /// Total cores.
@@ -590,11 +598,13 @@ impl Server {
         let finished = self.running[core as usize]
             .take()
             .expect("completion for an idle core");
+        self.busy -= 1;
         self.tasks_completed += 1;
         // Pull follow-on work for this core (it is warm: no wake padding).
         if let Some(next) = self.queues.pop_for(core) {
             let completes_in = next.execution_time(self.speed_ratio() * self.core_speed(core));
             self.running[core as usize] = Some(next);
+            self.busy += 1;
             fx.push(Effect::TaskStarted {
                 core,
                 id: next.id,
@@ -729,6 +739,7 @@ impl Server {
                 killed.push(t);
             }
         }
+        self.busy = 0;
         match &mut self.queues {
             LocalQueues::Unified(q) => killed.extend(q.drain(..)),
             LocalQueues::PerCore(qs) => {
@@ -788,6 +799,7 @@ impl Server {
             };
             let completes_in = pad + task.execution_time(speed * self.core_speed(core));
             self.running[core as usize] = Some(task);
+            self.busy += 1;
             effects.push(Effect::TaskStarted {
                 core,
                 id: task.id,

@@ -3,7 +3,7 @@
 //! and flow-solver arms, and the job ledger reconciles — no
 //! admitted job is ever silently lost.
 
-use holdcsim::config::{ClusterConfig, CommModel, SimConfig, WanConfig};
+use holdcsim::config::{ClusterConfig, CommModel, PolicyKind, SimConfig, WanConfig};
 use holdcsim::experiments::net_scalability_config;
 use holdcsim::sim::Simulation;
 use holdcsim_cluster::Federation;
@@ -169,4 +169,29 @@ fn no_admitted_job_is_lost_under_fault_storms() {
         report.jobs_submitted() - report.jobs_completed() + mid_wan,
         "federation ledger must reconcile"
     );
+}
+
+/// The driver keeps pack-first's free-core index in step while committed
+/// transfers come and go and faults kill work: a crash takes running,
+/// queued and committed tasks, and while edge switch 0 is down, transfers
+/// to and from servers 0 and 1 find no route, so their dispatches are
+/// torn down on live servers. In debug builds every placement checks
+/// `ClusterView::first_free` against a linear scan, so a stale bit panics
+/// the run; two runs must also give byte-identical report JSON.
+#[test]
+fn pack_first_index_stays_in_step_under_faults_and_transfers() {
+    let run = || {
+        let mut cfg =
+            net_cfg(CommModel::Flow, FlowSolverKind::Cohort, 5).with_policy(PolicyKind::PackFirst);
+        let plan = "crash@40ms:0; recover@90ms:0; switch-down@100ms:0; switch-up@150ms:0";
+        cfg.faults = Some(FaultPlan::parse(plan).expect("plan parses"));
+        Simulation::new(cfg).run()
+    };
+    let (a, b) = (run(), run());
+    assert!(a.network.as_ref().expect("fabric attached").flows > 0);
+    let res = a.resilience.as_ref().expect("faults armed");
+    assert_eq!(res.faults_injected, 2);
+    assert!(res.tasks_killed > 0, "the crash must kill work");
+    assert!(a.jobs_completed > 0);
+    assert_eq!(a.to_json(), b.to_json());
 }
