@@ -1,9 +1,9 @@
 //! Fair-share solver microbenchmarks: the add/remove/re-solve microcosts
-//! of all three [`holdcsim_network::flow::FlowSolverKind`] arms over a
+//! of both [`holdcsim_network::flow::FlowSolverKind`] arms over a
 //! fat tree — a steady churn of random-pair flows, plus an
 //! overloaded-fabric incast scenario (many flows per bottleneck link)
-//! where the per-flow arms pay O(flows) per rate shift and the cohort
-//! arm pays O(links) — the isolated cost of what `FlowNet` does once
+//! where the per-flow reference arm pays O(flows) per rate shift and
+//! the cohort arm pays O(links) — the isolated cost of what `FlowNet` does once
 //! per admission and completion in flow mode.
 //!
 //! Run with `cargo bench --bench flow_solver` (add `-- --quick` for a
@@ -118,11 +118,7 @@ fn incast(
     ops
 }
 
-const KINDS: [FlowSolverKind; 3] = [
-    FlowSolverKind::Incremental,
-    FlowSolverKind::Reference,
-    FlowSolverKind::Cohort,
-];
+const KINDS: [FlowSolverKind; 2] = [FlowSolverKind::Cohort, FlowSolverKind::Reference];
 
 fn main() {
     let quick = quick_mode();

@@ -715,14 +715,10 @@ mod tests {
         use holdcsim_network::flow::FlowSolverKind;
         // A contended hub WAN (every pair relays through one node) driven
         // through each fair-share solver arm must produce the very same
-        // delivery schedule — the cohort arm's virtual-time cells are as
-        // selectable for WAN links as for the intra-site fabric.
+        // delivery schedule — the cohort arm's virtual-time cells drive
+        // WAN links exactly as they drive the intra-site fabric.
         let mut results: Vec<Vec<(SimTime, u32)>> = Vec::new();
-        for kind in [
-            FlowSolverKind::Reference,
-            FlowSolverKind::Incremental,
-            FlowSolverKind::Cohort,
-        ] {
+        for kind in [FlowSolverKind::Reference, FlowSolverKind::Cohort] {
             let mut cfg = WanConfig::hub(3, 1_000_000_000, SimDuration::from_millis(10))
                 .with_mode(WanLinkMode::Flow);
             cfg.flow_solver = kind;
@@ -732,8 +728,7 @@ mod tests {
             }
             results.push(drain(&mut wan));
         }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[0], results[2], "cohort arm diverged on the WAN");
+        assert_eq!(results[0], results[1], "cohort arm diverged on the WAN");
         assert_eq!(results[0].len(), 4);
     }
 

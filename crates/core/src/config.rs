@@ -7,7 +7,9 @@ use holdcsim_des::rng::SimRng;
 use holdcsim_des::time::{SimDuration, SimTime};
 use holdcsim_faults::FaultPlan;
 use holdcsim_network::flow::FlowSolverKind;
-use holdcsim_network::topologies::LinkSpec;
+use holdcsim_network::topologies::{
+    bcube, camcube, fat_tree, flattened_butterfly, star, BuiltTopology, LinkSpec,
+};
 use holdcsim_obs::ObsConfig;
 use holdcsim_power::server_profile::ServerPowerProfile;
 use holdcsim_power::switch_profile::SwitchPowerProfile;
@@ -101,12 +103,12 @@ pub struct NetworkConfig {
     pub switch_profile: SwitchPowerProfile,
     /// Communication granularity.
     pub comm: CommModel,
-    /// Fair-share solver of the flow comm model (`Incremental` is the
-    /// production arm; `Reference` re-runs global progressive filling on
-    /// every change, kept selectable for A/B validation; `Cohort` tracks
-    /// whole bottleneck cohorts as virtual-time rate cells — the fast
-    /// arm under overload/incast). All three retrace byte-identical
-    /// trajectories on the same seed. Ignored in packet mode.
+    /// Fair-share solver of the flow comm model (`Cohort`, the default,
+    /// tracks whole bottleneck cohorts as virtual-time rate cells and
+    /// re-solves only the affected cells; `Reference` re-runs global
+    /// progressive filling on every change, kept selectable for A/B
+    /// validation). Both retrace byte-identical trajectories on the same
+    /// seed. Ignored in packet mode.
     pub flow_solver: FlowSolverKind,
     /// Port LPI hold time: a port enters Low Power Idle after being idle
     /// this long (`None` disables idle power management entirely).
@@ -124,6 +126,23 @@ pub struct NetworkConfig {
 }
 
 impl NetworkConfig {
+    /// Builds the fabric this config describes for `server_count`
+    /// servers. Switch and link fault targets index its
+    /// [`switches`](holdcsim_network::topology::Topology::switches) and
+    /// [`links`](holdcsim_network::topology::Topology::links).
+    pub fn build_topology(&self, server_count: usize) -> BuiltTopology {
+        match self.topology {
+            TopologySpec::FatTree { k } => fat_tree(k, self.link),
+            TopologySpec::FlattenedButterfly {
+                k,
+                hosts_per_switch,
+            } => flattened_butterfly(k, hosts_per_switch, self.link),
+            TopologySpec::BCube { n, levels } => bcube(n, levels, self.link),
+            TopologySpec::CamCube { x, y, z } => camcube(x, y, z, self.link),
+            TopologySpec::Star => star(server_count.max(1), self.link),
+        }
+    }
+
     /// Flow-model fat tree with LPI enabled — the §IV-D setup.
     pub fn fat_tree(k: usize) -> Self {
         NetworkConfig {

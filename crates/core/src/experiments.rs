@@ -648,10 +648,9 @@ pub struct NetScalabilityPoint {
     /// Simulated servers.
     pub servers: usize,
     /// Communication model of this arm: `"flow"` = flow model with the
-    /// incremental fair-share solver, `"flow-ref"` = reference solver,
-    /// `"flow-cohort"` = cohort-cell solver, `"packet"` = packetized.
-    /// The incast stress grid reuses this shape with `"incast"` /
-    /// `"incast-ref"` / `"incast-cohort"` labels.
+    /// cohort-cell fair-share solver, `"flow-ref"` = reference solver,
+    /// `"packet"` = packetized. The incast stress grid reuses this shape
+    /// with `"incast"` / `"incast-ref"` labels.
     pub comm: &'static str,
     /// Engine events processed.
     pub events: u64,
@@ -705,7 +704,7 @@ pub fn fat_tree_k_for(n: usize) -> usize {
 }
 
 /// The configuration of one network scalability arm (the default —
-/// incremental — flow solver; see
+/// cohort — flow solver; see
 /// [`net_scalability_config_with_solver`]).
 pub fn net_scalability_config(
     servers: usize,
@@ -763,9 +762,8 @@ pub fn net_scalability(
         let mut arms: Vec<(crate::config::CommModel, FlowSolverKind, &'static str)> = Vec::new();
         for &solver in flow_solvers {
             let label = match solver {
-                FlowSolverKind::Incremental => "flow",
+                FlowSolverKind::Cohort => "flow",
                 FlowSolverKind::Reference => "flow-ref",
-                FlowSolverKind::Cohort => "flow-cohort",
             };
             arms.push((crate::config::CommModel::Flow, solver, label));
         }
@@ -858,7 +856,7 @@ pub fn net_incast_config_with_solver(
 /// fat-tree farm under wide-gather incast at overload, flow mode only.
 /// This is the regime where bottleneck cohorts dominate — each hot
 /// downlink carries a whole job's fan-in — so it isolates the cohort
-/// solver's O(links) update cost from the per-flow arms' O(flows).
+/// solver's O(links) update cost from the reference arm's O(flows).
 #[allow(clippy::disallowed_methods)] // events/s vs wall-clock is the subject (see analysis.toml D002 entry)
 pub fn net_incast(
     sizes: &[usize],
@@ -871,9 +869,8 @@ pub fn net_incast(
         let mut arm_json: Option<String> = None;
         for &solver in flow_solvers {
             let label = match solver {
-                FlowSolverKind::Incremental => "incast",
+                FlowSolverKind::Cohort => "incast",
                 FlowSolverKind::Reference => "incast-ref",
-                FlowSolverKind::Cohort => "incast-cohort",
             };
             let cfg = net_incast_config_with_solver(n, duration, seed, solver);
             let t0 = Instant::now();

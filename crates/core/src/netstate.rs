@@ -13,13 +13,11 @@ use holdcsim_network::ids::{LinkId, NodeId};
 use holdcsim_network::packet::PacketNet;
 use holdcsim_network::routing::{ecmp_bucket, Route, Router};
 use holdcsim_network::switch::SwitchDevice;
-use holdcsim_network::topologies::{
-    bcube, camcube, fat_tree, flattened_butterfly, star, BuiltTopology,
-};
+use holdcsim_network::topologies::BuiltTopology;
 use holdcsim_network::topology::{NodeKind, Topology};
 use holdcsim_server::server::ServerId;
 
-use crate::config::{CommModel, NetworkConfig, TopologySpec};
+use crate::config::{CommModel, NetworkConfig};
 
 /// The switch-side `(switch index, port)` endpoints of one link, by value
 /// (a link touches at most two switches). Returned from
@@ -126,16 +124,7 @@ impl NetState {
     /// Panics if the requested topology yields fewer hosts than servers.
     #[allow(clippy::disallowed_types)] // constructs the point-lookup indices
     pub fn build(now: SimTime, cfg: &NetworkConfig, server_count: usize) -> Self {
-        let built: BuiltTopology = match cfg.topology {
-            TopologySpec::FatTree { k } => fat_tree(k, cfg.link),
-            TopologySpec::FlattenedButterfly {
-                k,
-                hosts_per_switch,
-            } => flattened_butterfly(k, hosts_per_switch, cfg.link),
-            TopologySpec::BCube { n, levels } => bcube(n, levels, cfg.link),
-            TopologySpec::CamCube { x, y, z } => camcube(x, y, z, cfg.link),
-            TopologySpec::Star => star(server_count.max(1), cfg.link),
-        };
+        let built: BuiltTopology = cfg.build_topology(server_count);
         assert!(
             built.hosts.len() >= server_count,
             "topology {} provides {} hosts for {} servers",

@@ -268,6 +268,55 @@ impl FaultPlan {
         }
     }
 
+    /// Checks every fabric-targeted entry (switch and link faults and
+    /// their recoveries) against a fabric of `switches` switches and
+    /// `links` links per site — both 0 when the run has no fabric, which
+    /// rejects any such entry. The error names the first entry out of
+    /// range.
+    pub fn check_fabric_targets(&self, switches: usize, links: usize) -> Result<(), String> {
+        for e in &self.events {
+            let (what, plural, target, count) = match e.kind {
+                FaultKind::SwitchDown { switch } | FaultKind::SwitchUp { switch } => {
+                    ("switch", "switches", switch, switches)
+                }
+                FaultKind::LinkDown { link } | FaultKind::LinkUp { link } => {
+                    ("link", "links", link, links)
+                }
+                _ => continue,
+            };
+            if target as usize >= count {
+                let label = e.kind.label();
+                return Err(if switches == 0 && links == 0 {
+                    format!("fault `{label}` targets {what} {target}, but the run has no fabric")
+                } else {
+                    format!(
+                        "fault `{label}` targets {what} {target}, but the fabric has {count} \
+                         {plural} (ids 0..{count})"
+                    )
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks every `site<k>.`-prefixed entry against a federation of
+    /// `sites` sites; the error names the first entry whose site is out
+    /// of range.
+    pub fn check_site_targets(&self, sites: usize) -> Result<(), String> {
+        let scripted = self
+            .events
+            .iter()
+            .filter(|e| !e.kind.is_wan())
+            .map(|e| (e.kind.label(), e.site));
+        let arms = self.random.iter().map(|r| ("mtbf", r.site));
+        match scripted.chain(arms).find(|&(_, s)| s as usize >= sites) {
+            Some((label, site)) => Err(format!(
+                "fault `{label}` targets site {site}, but the federation has {sites} site(s) (ids 0..{sites})"
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// The non-WAN entries owned by `site`, with site fields cleared —
     /// the sub-plan a federation hands to that site's standalone config.
     pub fn for_site(&self, site: u32) -> FaultPlan {
@@ -539,6 +588,24 @@ mod tests {
             p.events[1].kind,
             FaultKind::ServerStraggleEnd { server: 5 }
         ));
+    }
+
+    #[test]
+    fn fabric_and_site_targets_are_range_checked() {
+        let p = FaultPlan::parse("switch-down@1s:3; link-up@2s:7; site1.crash@1s:0").unwrap();
+        assert!(p.check_fabric_targets(4, 8).is_ok());
+        let e = p.check_fabric_targets(3, 8).unwrap_err();
+        assert!(e.contains("switch 3") && e.contains("3 switches"), "{e}");
+        let e = p.check_fabric_targets(4, 7).unwrap_err();
+        assert!(e.contains("link 7"), "{e}");
+        let e = p.check_fabric_targets(0, 0).unwrap_err();
+        assert!(e.contains("no fabric"), "{e}");
+        assert!(p.check_site_targets(2).is_ok());
+        let e = p.check_site_targets(1).unwrap_err();
+        assert!(e.contains("site 1"), "{e}");
+        // WAN faults are federation-global: their site field is unused.
+        let wan = FaultPlan::parse("wan-down@1s:0").unwrap();
+        assert!(wan.check_site_targets(1).is_ok());
     }
 
     #[test]

@@ -75,10 +75,9 @@ pub struct BenchScaleConfig {
     /// Simulated horizon per federation point.
     pub cluster_duration: SimDuration,
     /// Fair-share solver arms of the flow comm model: the default runs
-    /// the incremental production solver, the reference solver, and the
-    /// cohort-cell solver interleaved (A/B/C on the same grid) and
-    /// asserts they complete the same flows. The same arms drive the
-    /// incast stress grid.
+    /// the cohort-cell production solver and the reference solver
+    /// interleaved (A/B on the same grid) and asserts their reports are
+    /// byte-identical. The same arms drive the incast stress grid.
     pub flow_solvers: Vec<FlowSolverKind>,
     /// Re-run the network grid with determinism fingerprinting on and
     /// report the observability overhead per point.
@@ -108,11 +107,7 @@ impl Default for BenchScaleConfig {
             clusters: DEFAULT_CLUSTERS.to_vec(),
             cluster_servers: DEFAULT_CLUSTER_SERVERS,
             cluster_duration: DEFAULT_NET_DURATION,
-            flow_solvers: vec![
-                FlowSolverKind::Incremental,
-                FlowSolverKind::Reference,
-                FlowSolverKind::Cohort,
-            ],
+            flow_solvers: vec![FlowSolverKind::Cohort, FlowSolverKind::Reference],
             obs_overhead: false,
             faults: Some("default".to_string()),
             seed: 42,
@@ -140,7 +135,7 @@ pub struct ObsOverheadPoint {
 }
 
 /// Runs the network-heavy grid with fingerprinting on: the same fabric as
-/// `net_scalability` (incremental flow solver and packet arms), measured
+/// `net_scalability` (default flow solver and packet arms), measured
 /// so the `obs_points` section can be compared against `network_points`
 /// for the overhead gate.
 pub fn obs_scalability(sizes: &[usize], duration: SimDuration, seed: u64) -> Vec<ObsOverheadPoint> {
@@ -494,7 +489,7 @@ pub fn render_json(
             obs_rows.push(',');
         }
         // Overhead relative to the matching obs-off network point (the
-        // incremental `flow` arm or `packet`), when that arm was run.
+        // production `flow` arm or `packet`), when that arm was run.
         let base = net_points
             .iter()
             .find(|n| n.servers == p.servers && n.comm == p.comm);
@@ -752,11 +747,7 @@ mod tests {
             clusters: vec![2],
             cluster_servers: 4,
             cluster_duration: SimDuration::from_millis(20),
-            flow_solvers: vec![
-                FlowSolverKind::Incremental,
-                FlowSolverKind::Reference,
-                FlowSolverKind::Cohort,
-            ],
+            flow_solvers: vec![FlowSolverKind::Cohort, FlowSolverKind::Reference],
             obs_overhead: true,
             faults: Some("default".to_string()),
             seed: 7,
@@ -772,31 +763,22 @@ mod tests {
         assert_eq!(pts.len(), 1);
         assert!(pts[0].events > 0);
         assert!(pts[0].events_per_s > 0.0);
-        // Three flow solver arms and one packet arm per network size,
-        // plus the three-arm incast stress grid.
-        assert_eq!(net_pts.len(), 7);
+        // Two flow solver arms and one packet arm per network size,
+        // plus the two-arm incast stress grid.
+        assert_eq!(net_pts.len(), 5);
         assert_eq!(
             net_pts.iter().map(|p| p.comm).collect::<Vec<_>>(),
-            [
-                "flow",
-                "flow-ref",
-                "flow-cohort",
-                "packet",
-                "incast",
-                "incast-ref",
-                "incast-cohort"
-            ]
+            ["flow", "flow-ref", "packet", "incast", "incast-ref"]
         );
         assert!(net_pts.iter().all(|p| p.events > 0));
-        // The A/B/C arms completed the very same flows (also asserted
+        // The A/B arms completed the very same flows (also asserted
         // inside `net_scalability`, which would have panicked).
         assert_eq!(net_pts[0].flows, net_pts[1].flows);
-        assert_eq!(net_pts[0].flows, net_pts[2].flows);
-        assert_eq!(net_pts[4].flows, net_pts[6].flows);
+        assert_eq!(net_pts[3].flows, net_pts[4].flows);
         assert!(net_pts[0].flows > 0, "transfers really flowed");
-        assert!(net_pts[4].flows > 0, "incast transfers really flowed");
+        assert!(net_pts[3].flows > 0, "incast transfers really flowed");
         assert!(
-            net_pts[3].events > net_pts[0].events,
+            net_pts[2].events > net_pts[0].events,
             "packetized transfers generate more events than flows"
         );
         // One flow and one packet federation arm per site count.
@@ -808,7 +790,7 @@ mod tests {
         assert_eq!(obs_pts.len(), 2);
         assert_eq!((obs_pts[0].comm, obs_pts[1].comm), ("flow", "packet"));
         assert_eq!(obs_pts[0].events, net_pts[0].events);
-        assert_eq!(obs_pts[1].events, net_pts[3].events);
+        assert_eq!(obs_pts[1].events, net_pts[2].events);
         // One fault arm per size; the canned storm really injects.
         assert_eq!(fault_pts.len(), 1);
         assert!(fault_pts[0].events > 0);

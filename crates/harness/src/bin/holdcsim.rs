@@ -43,7 +43,7 @@ USAGE:
     holdcsim run   [--servers N] [--cores C] [--rho R] [--preset P] [--tau T]
                    [--policy POL] [--duration SECS] [--seed S] [--json]
                    [--faults SPEC|FILE]
-                   [--net [--flow-solver incremental|reference|cohort]] [OBS]
+                   [--net [--flow-solver cohort|reference]] [OBS]
     holdcsim sweep [--policies a,b,c] [--rhos 0.1,0.3] [--taus 0.4,1.6]
                    [--presets web-search,web-serving] [--servers 8,50] [--cores 4]
                    [--replications N] [--duration SECS] [--seed S]
@@ -59,7 +59,7 @@ USAGE:
     holdcsim trace-diff A.json B.json
     holdcsim bench-scale [--sizes 16,128,1024] [--duration SECS]
                    [--net-sizes 16,128 | none] [--net-duration SECS]
-                   [--flow-solver incremental|reference|cohort|both|all]
+                   [--flow-solver cohort|reference|all]
                    [--clusters 2,4 | none] [--cluster-servers N]
                    [--cluster-duration SECS]
                    [--faults default|none|SPEC|FILE]
@@ -91,10 +91,9 @@ models) at each --net-sizes size (`none` skips the network arms),
 measures wall-clock events/second (best of --repeats), and writes the
 JSON perf baseline (default ./BENCH_scalability.json). The flow arm
 runs once per selected fair-share solver (`all` by default: the
-incremental production solver as `flow`, the global progressive-
-filling reference as `flow-ref`, and the cohort-cell solver as
-`flow-cohort`, interleaved on the same grid with identical
-completed-flow counts asserted); the same arms drive a wide-gather
+cohort-cell production solver as `flow` and the global progressive-
+filling reference as `flow-ref`, interleaved on the same grid with
+byte-identical reports asserted); the same arms drive a wide-gather
 incast stress grid (`incast*` points). With --obs-overhead it also
 re-runs the network arms with fingerprinting on and reports the
 observability overhead per point.
@@ -256,13 +255,12 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     // --net attaches a fat-tree fabric with flow-model comm and swaps
     // in the fan-out/fan-in communicating workload (the presets are
     // compute-only, so the fabric would otherwise carry zero flows);
-    // the solver arm is selectable so the CI smoke can A/B all three
+    // the solver arm is selectable so the CI smoke can A/B both arms
     // on one seed.
     if opts.contains_key("net") {
         let solver = match opts.get("flow-solver").map(String::as_str) {
-            None | Some("incremental") => FlowSolverKind::Incremental,
+            None | Some("cohort") => FlowSolverKind::Cohort,
             Some("reference") => FlowSolverKind::Reference,
-            Some("cohort") => FlowSolverKind::Cohort,
             Some(other) => return Err(format!("unknown flow solver `{other}`")),
         };
         cfg.template = holdcsim::experiments::net_scalability_template();
@@ -275,8 +273,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
     if let Some(s) = opts.get("faults") {
         let plan = holdcsim_faults::load_plan(s)?;
-        plan.check_server_targets(servers)
-            .map_err(|e| format!("--faults: {e}"))?;
+        check_fault_targets(&plan, servers, cfg.network.as_ref())?;
         cfg.faults = Some(plan);
     }
     cfg.obs = obs.cfg;
@@ -439,6 +436,26 @@ fn cmd_fig(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Rejects `--faults` entries whose server, switch or link target lies
+/// outside the farm of `servers` servers and its fabric (none without
+/// `--net`) — such entries would otherwise inject nothing.
+fn check_fault_targets(
+    plan: &holdcsim_faults::FaultPlan,
+    servers: usize,
+    net: Option<&NetworkConfig>,
+) -> Result<(), String> {
+    let (switches, links) = net.map_or((0, 0), |net| {
+        let built = net.build_topology(servers);
+        (
+            built.topology.switches().len(),
+            built.topology.links().len(),
+        )
+    });
+    plan.check_server_targets(servers)
+        .and_then(|()| plan.check_fabric_targets(switches, links))
+        .map_err(|e| format!("--faults: {e}"))
+}
+
 fn cmd_federate(args: &[String]) -> Result<(), String> {
     let mut allowed = vec![
         "sites",
@@ -521,7 +538,8 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
     }
     if let Some(s) = opts.get("faults") {
         let plan = holdcsim_faults::load_plan(s)?;
-        plan.check_server_targets(servers)
+        check_fault_targets(&plan, servers, cc.base.network.as_ref())?;
+        plan.check_site_targets(sites)
             .map_err(|e| format!("--faults: {e}"))?;
         cc.faults = Some(plan);
     }
@@ -629,15 +647,9 @@ fn cmd_bench_scale(args: &[String]) -> Result<(), String> {
     }
     if let Some(s) = opts.get("flow-solver") {
         cfg.flow_solvers = match s.as_str() {
-            "incremental" => vec![FlowSolverKind::Incremental],
-            "reference" => vec![FlowSolverKind::Reference],
             "cohort" => vec![FlowSolverKind::Cohort],
-            "both" => vec![FlowSolverKind::Incremental, FlowSolverKind::Reference],
-            "all" => vec![
-                FlowSolverKind::Incremental,
-                FlowSolverKind::Reference,
-                FlowSolverKind::Cohort,
-            ],
+            "reference" => vec![FlowSolverKind::Reference],
+            "all" => vec![FlowSolverKind::Cohort, FlowSolverKind::Reference],
             other => return Err(format!("unknown flow solver `{other}`")),
         };
     }

@@ -58,6 +58,53 @@ fn run_rejects_out_of_range_fault_targets() {
 }
 
 #[test]
+fn run_rejects_fabric_targets_outside_the_fabric() {
+    // A 16-server run with --net builds a k=4 fat tree of 20 switches.
+    assert_rejected(
+        &[
+            "run",
+            "--net",
+            "--duration",
+            "0.2",
+            "--faults",
+            "switch-down@0.1s:999",
+        ],
+        "switch 999",
+    );
+    // Without --net there is no fabric to fail at all.
+    assert_rejected(
+        &["run", "--duration", "0.2", "--faults", "link-down@0.1s:3"],
+        "link 3",
+    );
+    let (ok, stderr) = holdcsim(&[
+        "run",
+        "--net",
+        "--duration",
+        "0.2",
+        "--faults",
+        "switch-down@0.1s:3; link-down@0.1s:5",
+        "--json",
+    ]);
+    assert!(ok, "in-range fabric targets must run:\n{stderr}");
+}
+
+#[test]
+fn federate_rejects_site_targets_outside_the_federation() {
+    assert_rejected(
+        &[
+            "federate",
+            "--sites",
+            "2",
+            "--duration",
+            "0.2",
+            "--faults",
+            "site7.crash@0.1s:0",
+        ],
+        "site 7",
+    );
+}
+
+#[test]
 fn federate_rejects_degenerate_farms_by_flag() {
     let base = ["federate", "--sites", "2", "--duration", "0.01"];
     for (flag, v) in [("--servers", "0"), ("--cores", "0"), ("--rho", "nan")] {

@@ -4,28 +4,29 @@
 //!
 //! [`FlowNet`] tracks active flows and assigns each the max-min fair rate
 //! over its route via progressive filling. Rates are recomputed on every
-//! flow arrival/departure by a [`FlowSolver`]:
+//! flow arrival/departure by one of two arms ([`FlowSolverKind`]):
 //!
-//! * [`FlowSolverKind::Reference`] — the textbook global solve: reset
-//!   every link, scan the used-link working set for the bottleneck each
-//!   round. O(used links × bottleneck rounds) per change.
-//! * [`FlowSolverKind::Incremental`] — the production solver: only the
-//!   *dirty set* is re-solved. Every flow remembers the link that fixed
-//!   it (its bottleneck); a change pulls in exactly the flows whose
-//!   bottleneck link is affected, charges every untouched flow crossing a
-//!   dirty link as a fixed reservation against that link's capacity, and
-//!   re-runs progressive filling on the small sub-problem with bottleneck
-//!   selection driven by a lazy-deletion min-heap ([`LazyHeap`]) over
-//!   link fair shares. A post-solve audit expands the set and re-solves
-//!   in the (rare) case a dirty link's new fair level undercuts a
-//!   reserved rate. Flows outside the dirty set keep their rates — and,
-//!   downstream, their pending completion entries. On a fabric whose hot
-//!   spots are the access links this touches tens of flows where the
-//!   global solve touches thousands.
+//! * [`FlowSolverKind::Cohort`] — the production arm (the
+//!   `flow_cohort` module). Every bottleneck cohort — the flows fixed at
+//!   one link's fair share — is one *rate cell* with a virtual-time
+//!   clock, and only the *dirty set* is re-solved: a change pulls in
+//!   exactly the cells whose bottleneck link is affected, charges every
+//!   untouched cell crossing a dirty link as a fixed reservation against
+//!   that link's capacity, and re-runs progressive filling on the small
+//!   sub-problem, popping bottlenecks from a per-round heap of link fair
+//!   shares. A post-solve audit expands the set and re-solves in the
+//!   (rare) case a dirty link's new fair level undercuts a reserved
+//!   rate. Cells outside the dirty set keep their rates and completion
+//!   entries, and a rate shift costs O(links) per cell instead of
+//!   O(flows).
+//! * [`FlowSolverKind::Reference`] — the textbook global solve over
+//!   per-flow state: reset every link, scan the used-link working set for
+//!   the bottleneck each round. O(used links × bottleneck rounds) per
+//!   change. The oracle the cohort arm is tested against.
 //!
 //! Fair shares are computed in exact fixed-point integer arithmetic
 //! (2⁻²⁰ bits/second units, floor division), so capacity reservations
-//! are order-independent — the exactness the incremental budget sums
+//! are order-independent — the exactness the cohort arm's budget sums
 //! rely on. Both arms pick bottlenecks by the canonical `(fair share,
 //! link index)` order; at exact floor ties the (non-unique) quantized
 //! max-min solution may assign shares that differ by one 2⁻²⁰ bps
@@ -33,16 +34,17 @@
 //! below the 1 ns event resolution, so the A/B arms of the driving
 //! simulation produce identical event trajectories.
 //!
-//! Completion scheduling is *delta-driven*: [`FlowNet`] keeps one entry
-//! per rated flow in a position-indexed min-heap of projected
-//! completions. A re-solve updates, in place, only the entries of flows
-//! whose rate actually changed (O(log F) each); flows with unchanged
-//! rates are never settled and keep their entry. The driving simulation
-//! keeps a *single* calendar event armed at [`FlowNet::next_due`] and
-//! calls [`FlowNet::advance_due`] when it fires — the event calendar
-//! sees roughly one event per completion instead of a cancel/reinsert
-//! per flow per rate change (which is quadratic when a saturated fabric
-//! re-shares rates on every admission). Admissions landing in the same
+//! Completion scheduling is *delta-driven*: the cohort arm keeps one
+//! projected-completion entry per cell in a position-indexed min-heap
+//! (the reference arm caches one instant per flow and scans them). A
+//! re-solve updates, in place, only the entries whose rate actually
+//! changed; unchanged rates are never settled and keep their entry. The
+//! driving simulation keeps a *single* calendar event armed at
+//! [`FlowNet::next_due`] and calls [`FlowNet::advance_due`] when it
+//! fires — the event calendar sees roughly one event per completion
+//! instead of a cancel/reinsert per flow per rate change (which is
+//! quadratic when a saturated fabric re-shares rates on every
+//! admission). Admissions landing in the same
 //! event are batched into one re-solve ([`FlowNet::add_flow_batched`] +
 //! [`FlowNet::flush`]) — exact under max-min, whose rates depend only on
 //! the final flow set at an instant.
@@ -52,7 +54,6 @@
 //! and completion perform no allocation (flow states, including their
 //! route vectors, are recycled through a pool).
 
-use holdcsim_des::lazy_heap::LazyHeap;
 use holdcsim_des::slot_window::SlotWindow;
 use holdcsim_des::time::{SimDuration, SimTime};
 
@@ -66,7 +67,7 @@ pub(crate) const NO_BOTTLENECK: u32 = u32::MAX;
 
 /// Fair-share fixed-point scale: rates and link budgets are integers in
 /// units of 2⁻²⁰ bits/second. Integer arithmetic keeps capacity
-/// reservations order-independent (the incremental solver's correctness
+/// reservations order-independent (the cohort solver's correctness
 /// hinges on exact sums), while the sub-micro-bps quantum keeps both
 /// solver arms' rates equal to ~10⁻¹⁵ relative — far below the 1 ns
 /// event resolution, so the arms produce identical trajectories.
@@ -169,16 +170,12 @@ struct FlowState {
     /// The current fair rate in fixed-point units of 2⁻²⁰ bits/second
     /// (fair shares are computed with exact integer arithmetic).
     rate_units: u64,
-    /// The rate the in-progress solve assigned (promoted to `rate_bps` by
-    /// the post-solve diff pass only if it actually changed).
+    /// The rate the in-progress solve assigned (promoted to `rate_units`
+    /// by the post-solve diff pass only if it actually changed).
     new_rate: u64,
-    /// The link whose progressive-filling round fixed this flow — the
-    /// incremental solver's pull condition: a change can only move this
-    /// flow's rate by going through its bottleneck link.
+    /// The link whose progressive-filling round fixed this flow (test
+    /// dumps only).
     bottleneck: u32,
-    /// The bottleneck the in-progress solve assigned (promoted by the
-    /// post-solve diff pass alongside `new_rate`).
-    new_bottleneck: u32,
     /// When `remaining` was last settled. Only flows whose rate
     /// changes are settled; an untouched flow's progress is implied by
     /// `(last_update, rate_units)`.
@@ -187,11 +184,11 @@ struct FlowState {
     dst: NodeId,
     started: SimTime,
     total: u128,
-    /// Position of this flow's entry in the due-heap (`NO_HEAP` when the
-    /// flow has no projected completion, i.e. rate 0).
-    heap_pos: u32,
-    /// Outside a solve: `true` (rate is settled). During a solve: flows
-    /// pulled into the dirty set flip to `false` until re-fixed.
+    /// The projected completion instant (`None` at rate 0), recomputed
+    /// whenever the rate changes.
+    due: Option<SimTime>,
+    /// Outside a solve: `true` (rate is settled). During a solve: `false`
+    /// until the flow's bottleneck round fixes it.
     fixed: bool,
 }
 
@@ -216,11 +213,13 @@ impl FlowState {
 
     /// The exact instant this flow's completion event should fire: the
     /// ceiling of remaining/rate lands the event on the first whole
-    /// nanosecond at which the payload has fully drained.
-    fn due(&self, now: SimTime) -> SimTime {
-        debug_assert!(self.rate_units > 0);
-        debug_assert_eq!(self.last_update, now);
-        now.saturating_add(due_after(self.remaining, self.rate_units))
+    /// nanosecond at which the payload has fully drained (`None` at
+    /// rate 0). Call right after a settle.
+    fn projected_due(&self) -> Option<SimTime> {
+        (self.rate_units > 0).then(|| {
+            self.last_update
+                .saturating_add(due_after(self.remaining, self.rate_units))
+        })
     }
 }
 
@@ -237,26 +236,22 @@ pub struct CompletedFlow {
     pub started: SimTime,
 }
 
-/// Sentinel due-heap position for flows without a pending completion.
-const NO_HEAP: u32 = u32::MAX;
-
 /// Selects the fair-share solver implementation of a [`FlowNet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FlowSolverKind {
     /// Global progressive filling over the whole used-link working set on
-    /// every change (the reference arm).
+    /// every change, with per-flow rates and completion entries (the
+    /// oracle arm for tests and cross-arm checks).
     Reference,
-    /// Bottleneck-aware dirty-set re-solve with heap-driven bottleneck
-    /// selection (the per-flow production arm).
-    #[default]
-    Incremental,
     /// Cohort-level rate cells with per-cell virtual-time clocks: every
     /// bottleneck cohort (the flows fixed at one link's fair share) is
     /// one cell, so a rate-level shift is O(1) per affected *link*
     /// instead of per flow, and completion instants are read off
-    /// accumulated virtual time instead of being retimed per flow. The
-    /// fastest arm on overloaded/incast fabrics; byte-identical
-    /// trajectories to the other two arms.
+    /// accumulated virtual time instead of being retimed per flow. Only
+    /// cells whose bottleneck is transitively affected by a change are
+    /// re-solved. The production arm; byte-identical trajectories to
+    /// the reference arm.
+    #[default]
     Cohort,
 }
 
@@ -265,449 +260,21 @@ impl FlowSolverKind {
     pub fn label(self) -> &'static str {
         match self {
             FlowSolverKind::Reference => "reference",
-            FlowSolverKind::Incremental => "incremental",
             FlowSolverKind::Cohort => "cohort",
         }
     }
 }
 
-/// The solver's view of the network during one re-solve: capacities, the
-/// flow table, per-link flow lists, the used-link working set, and the
-/// seed links whose flow membership just changed.
-///
-/// Constructed by [`FlowNet`] only; the concrete solvers live in this
-/// module, and the trait is public for documentation and testing rather
-/// than external implementation.
-#[derive(Debug)]
-pub struct SolveCtx<'a> {
-    capacity_bps: &'a [u64],
-    flows: &'a mut SlotWindow<FlowState>,
-    flows_per_link: &'a [Vec<u64>],
-    used_links: &'a mut Vec<usize>,
-    used_mask: &'a mut [bool],
-    /// Link indices whose flow set changed since the last solve.
-    seeds: &'a [usize],
-    /// Flows that must be re-rated regardless of bottleneck state (the
-    /// just-admitted flow).
-    seed_flows: &'a [u64],
-    /// Σ rate of all flows crossing each link, maintained incrementally
-    /// by the diff pass — the incremental solver derives link budgets
-    /// from this instead of scanning per-link flow lists.
-    reserved_units: &'a [u64],
-}
-
-/// A max-min fair-share solver: recomputes fair rates after flows were
-/// added to or removed from the seed links.
-///
-/// Implementations write each affected flow's tentative rate into its
-/// `new_rate` slot and append the affected flow keys to `touched`; the
-/// [`FlowNet`] diff pass then settles and retimes only the flows whose
-/// rate actually changed.
-pub trait FlowSolver: std::fmt::Debug + Send {
-    /// Re-solves after a change seeded at `ctx.seeds`, appending every
-    /// flow whose rate was (re)computed to `touched`.
-    fn solve(&mut self, ctx: SolveCtx<'_>, touched: &mut Vec<u64>);
-}
-
-/// The reference arm: global progressive filling with linear bottleneck
-/// scans, bottlenecks picked by the canonical `(share, link index)`
-/// order.
-#[derive(Debug, Default)]
-struct ReferenceSolver {
-    /// Residual capacity per link (persistent scratch, refreshed only for
-    /// used links).
-    cap: Vec<u64>,
-    /// Unfixed-flow count per link.
-    cnt: Vec<usize>,
-    /// Flows fixed at the current bottleneck.
-    fixing: Vec<u64>,
-}
-
-impl ReferenceSolver {
-    fn new(n_links: usize) -> Self {
-        ReferenceSolver {
-            cap: vec![0; n_links],
-            cnt: vec![0; n_links],
-            fixing: Vec::new(),
-        }
-    }
-}
-
-impl FlowSolver for ReferenceSolver {
-    fn solve(&mut self, ctx: SolveCtx<'_>, touched: &mut Vec<u64>) {
-        let SolveCtx {
-            capacity_bps,
-            flows,
-            flows_per_link,
-            used_links,
-            used_mask,
-            ..
-        } = ctx;
-        if flows.is_empty() {
-            return;
-        }
-        // Prune links that stopped carrying flows; refresh the residual
-        // capacity and unfixed count of the rest.
-        let (cap, cnt) = (&mut self.cap, &mut self.cnt);
-        used_links.retain(|&li| {
-            if flows_per_link[li].is_empty() {
-                used_mask[li] = false;
-                false
-            } else {
-                cap[li] = capacity_bps[li];
-                cnt[li] = flows_per_link[li].len();
-                true
-            }
-        });
-        let mut unfixed = flows.len();
-        for (k, f) in flows.iter_mut() {
-            f.fixed = false;
-            touched.push(k);
-        }
-        while unfixed > 0 {
-            // Bottleneck: minimal (fair share, link index) among loaded
-            // links — the canonical order both solver arms share.
-            let mut bottleneck: Option<(usize, u64)> = None;
-            for &li in used_links.iter() {
-                if cnt[li] == 0 {
-                    continue;
-                }
-                let share = cap[li] / cnt[li] as u64;
-                let better = match bottleneck {
-                    None => true,
-                    Some((bl, s)) => share < s || (share == s && li < bl),
-                };
-                if better {
-                    bottleneck = Some((li, share));
-                }
-            }
-            let Some((bl, share)) = bottleneck else {
-                // No loaded links left: remaining flows are route-less
-                // (cannot happen given add_flow's assertion) — fix at 0.
-                for (_, f) in flows.iter_mut() {
-                    if !f.fixed {
-                        f.fixed = true;
-                        f.new_rate = 0;
-                        f.new_bottleneck = NO_BOTTLENECK;
-                    }
-                }
-                break;
-            };
-            // Fix every unfixed flow crossing the bottleneck at the share.
-            self.fixing.clear();
-            self.fixing.extend(
-                flows_per_link[bl]
-                    .iter()
-                    .copied()
-                    .filter(|&k| !flows.get(k).expect("indexed flow exists").fixed),
-            );
-            debug_assert!(!self.fixing.is_empty());
-            for &key in &self.fixing {
-                let f = flows.get_mut(key).expect("flow exists");
-                f.fixed = true;
-                f.new_rate = share;
-                f.new_bottleneck = bl as u32;
-                unfixed -= 1;
-                for &l in f.links.as_slice() {
-                    let li = l.0 as usize;
-                    cap[li] -= share;
-                    cnt[li] -= 1;
-                }
-            }
-        }
-    }
-}
-
-/// The production arm: bottleneck-aware incremental re-solve.
-///
-/// A change seeded at some links can only move the rate of flows whose
-/// *bottleneck* is transitively affected. The solver pulls exactly those
-/// flows into a dirty set (plus, via a post-solve audit, any flow whose
-/// reserved rate a dirty link can no longer honor), charges every
-/// untouched flow crossing a dirty link as a fixed capacity reservation,
-/// and re-runs progressive filling on the sub-problem with bottleneck
-/// selection driven by a [`LazyHeap`] over link fair shares. Because
-/// shares are exact integers, the reservation sums are order-independent
-/// and the sub-problem reproduces the global solve's rates bitwise.
-#[derive(Debug, Default)]
-struct IncrementalSolver {
-    /// Residual capacity per link (valid for dirty links during a solve).
-    cap: Vec<u64>,
-    /// Unfixed-flow count per link.
-    cnt: Vec<usize>,
-    /// Bottleneck selector over dirty links, keyed by fair share with
-    /// deterministic (share, link) tie-breaking. Entries are refreshed
-    /// lazily: a popped entry whose share is stale (fair shares only rise
-    /// within a fill) is re-pushed at its current value, which preserves
-    /// the canonical pop order without per-(flow × link) heap updates.
-    heap: LazyHeap<u64>,
-    /// The dirty link set of the current solve (doubles as a worklist).
-    dirty_links: Vec<usize>,
-    /// `dirty_mask[li]` ⇔ `li ∈ dirty_links` (cleared after each solve).
-    dirty_mask: Vec<bool>,
-    /// The flows being re-solved.
-    dirty_flows: Vec<u64>,
-    /// Dirty flows crossing each dirty link (the fill phase's fixing
-    /// candidates; valid for dirty links during a solve).
-    dirty_list: Vec<Vec<u64>>,
-    /// Σ rate of the dirty flows crossing each dirty link: subtracted
-    /// from the link's reserved-rate aggregate to get the sub-problem
-    /// budget without scanning the full per-link flow list.
-    dirty_units: Vec<u64>,
-    /// Flows bottlenecked at each link — the pull index. Entries are
-    /// lazy (dead or re-bottlenecked flows are dropped when their link's
-    /// list is drained); every solve re-registers its dirty flows.
-    cohort: Vec<Vec<u64>>,
-    /// The fair level each popped bottleneck imposed, for the audit:
-    /// `(link, level)` per progressive-filling round.
-    levels: Vec<(usize, u64)>,
-    /// A persistent upper bound on the rate of any flow crossing each
-    /// link (ratcheted up at fix time, tightened by clean audit scans).
-    /// Gates the audit: a popped level at or above the bound cannot have
-    /// undercut any reservation, so the per-flow scan is skipped —
-    /// which is the common case when completions *raise* levels.
-    res_max: Vec<u64>,
-}
-
-impl IncrementalSolver {
-    fn new(n_links: usize) -> Self {
-        IncrementalSolver {
-            cap: vec![0; n_links],
-            cnt: vec![0; n_links],
-            heap: LazyHeap::new(),
-            dirty_links: Vec::new(),
-            dirty_mask: vec![false; n_links],
-            dirty_flows: Vec::new(),
-            dirty_list: vec![Vec::new(); n_links],
-            dirty_units: vec![0; n_links],
-            cohort: vec![Vec::new(); n_links],
-            levels: Vec::new(),
-            res_max: vec![0; n_links],
-        }
-    }
-
-    /// Marks `li` dirty (idempotent), resetting its per-solve dirty-flow
-    /// accumulators. Flows it can re-rate are pulled by the worklist pass
-    /// in [`solve`](FlowSolver::solve).
-    fn mark_link(&mut self, li: usize) {
-        if self.dirty_mask[li] {
-            return;
-        }
-        self.dirty_mask[li] = true;
-        self.dirty_links.push(li);
-        self.dirty_list[li].clear();
-        self.dirty_units[li] = 0;
-    }
-
-    /// Pulls `fk` into the dirty set (idempotent), dirtying its links and
-    /// crediting its current rate back to their budgets.
-    fn pull_flow(&mut self, fk: u64, flows: &mut SlotWindow<FlowState>) {
-        let f = flows.get_mut(fk).expect("indexed flow exists");
-        if !f.fixed {
-            return;
-        }
-        f.fixed = false;
-        self.dirty_flows.push(fk);
-        let rate = f.rate_units;
-        for &l in f.links.as_slice() {
-            let li = l.0 as usize;
-            self.mark_link(li);
-            self.dirty_list[li].push(fk);
-            self.dirty_units[li] += rate;
-        }
-    }
-}
-
-impl FlowSolver for IncrementalSolver {
-    fn solve(&mut self, ctx: SolveCtx<'_>, touched: &mut Vec<u64>) {
-        let SolveCtx {
-            capacity_bps,
-            flows,
-            flows_per_link,
-            seeds,
-            seed_flows,
-            reserved_units,
-            ..
-        } = ctx;
-        // Seed the dirty set; flows whose bottleneck is (or becomes) a
-        // dirty link are pulled in via the cohort worklist below.
-        self.dirty_links.clear();
-        self.dirty_flows.clear();
-        for &li in seeds {
-            self.mark_link(li);
-        }
-        for &fk in seed_flows {
-            self.pull_flow(fk, flows);
-        }
-        loop {
-            // Pull phase: drain every dirty link's cohort — the flows
-            // whose defining constraint is being re-solved. Pulled flows
-            // dirty their links, which may expose further cohorts; every
-            // dirty flow re-registers at the end of the solve, so drained
-            // lists lose nothing.
-            let mut i = 0;
-            while i < self.dirty_links.len() {
-                let li = self.dirty_links[i];
-                i += 1;
-                let mut list = std::mem::take(&mut self.cohort[li]);
-                for fk in list.drain(..) {
-                    // Lazy entries: skip flows that died or moved their
-                    // bottleneck elsewhere since registration.
-                    if flows.get(fk).is_some_and(|f| f.bottleneck == li as u32) {
-                        self.pull_flow(fk, flows);
-                    }
-                }
-                self.cohort[li] = list;
-            }
-            // Budget phase: a dirty link's sub-problem budget is its
-            // capacity minus the reserved rates of untouched flows
-            // crossing it — derived from the incrementally-maintained
-            // per-link rate aggregate, O(1) per link. Exact integers make
-            // the residual equal what the global solve would carry into
-            // this link's bottleneck round.
-            let (cap, cnt) = (&mut self.cap, &mut self.cnt);
-            self.heap.clear();
-            for &li in &self.dirty_links {
-                let reserved = reserved_units[li] - self.dirty_units[li];
-                let budget = capacity_bps[li]
-                    .checked_sub(reserved)
-                    .expect("reservations never exceed capacity");
-                let c = self.dirty_list[li].len();
-                cap[li] = budget;
-                cnt[li] = c;
-                if c > 0 {
-                    self.heap.update(li, budget / c as u64);
-                }
-            }
-            // Fill phase: progressive filling over the sub-problem.
-            self.levels.clear();
-            let mut unfixed = self.dirty_flows.len();
-            while unfixed > 0 {
-                let Some((bl, stale_share)) = self.heap.pop() else {
-                    // Defensive: every dirty flow crosses a dirty link
-                    // with itself counted, so the heap cannot run dry
-                    // while flows are unfixed. Fix stragglers at zero,
-                    // parked on their first link so a later change there
-                    // re-rates them.
-                    for &fk in &self.dirty_flows {
-                        let f = flows.get_mut(fk).expect("dirty flow exists");
-                        if !f.fixed {
-                            f.fixed = true;
-                            f.new_rate = 0;
-                            f.new_bottleneck =
-                                f.links.as_slice().first().map_or(NO_BOTTLENECK, |l| l.0);
-                        }
-                    }
-                    break;
-                };
-                if cnt[bl] == 0 {
-                    continue; // emptied passively since its last push
-                }
-                // Lazy revalidation: shares only rise as flows fix, so a
-                // stale entry is an optimistic lower bound — re-push the
-                // current share and keep popping. The first validated pop
-                // is exactly the canonical (share, link) minimum.
-                let share = cap[bl] / cnt[bl] as u64;
-                if share != stale_share {
-                    self.heap.update(bl, share);
-                    continue;
-                }
-                self.levels.push((bl, share));
-                // Fix every unfixed dirty flow crossing the bottleneck
-                // at the share (one pass; the list is taken out so the
-                // per-link residuals can be updated while iterating).
-                let list = std::mem::take(&mut self.dirty_list[bl]);
-                let mut fixed_any = false;
-                for &key in &list {
-                    let f = flows.get_mut(key).expect("flow exists");
-                    if f.fixed {
-                        continue;
-                    }
-                    f.fixed = true;
-                    f.new_rate = share;
-                    f.new_bottleneck = bl as u32;
-                    fixed_any = true;
-                    unfixed -= 1;
-                    for &l in f.links.as_slice() {
-                        let li = l.0 as usize;
-                        cap[li] -= share;
-                        cnt[li] -= 1;
-                        self.res_max[li] = self.res_max[li].max(share);
-                    }
-                }
-                self.dirty_list[bl] = list;
-                debug_assert!(fixed_any);
-            }
-            // Audit phase: a reservation is only valid while its flow
-            // stays bottlenecked elsewhere at or below every dirty
-            // link's new level. If a popped bottleneck's level fell
-            // below a reserved rate, that flow must be re-rated here —
-            // pull it and re-solve the grown sub-problem (rare: it
-            // means the change shifted which link constrains the flow).
-            let mut grew = false;
-            for level_idx in 0..self.levels.len() {
-                let (li, level) = self.levels[level_idx];
-                // No flow on `li` exceeds `res_max[li]`: a level at or
-                // above it cannot have undercut any reservation.
-                if self.res_max[li] <= level {
-                    continue;
-                }
-                let mut seen_max = 0u64;
-                let mut pulled_here = false;
-                for &fk in &flows_per_link[li] {
-                    let f = flows.get(fk).expect("indexed flow exists");
-                    seen_max = seen_max.max(f.rate_units.max(f.new_rate));
-                    // Dirty flows (just re-rated here) are recognized by
-                    // their pre-solve bottleneck being a dirty link;
-                    // reservations keep a non-dirty bottleneck.
-                    let reserved =
-                        f.bottleneck != NO_BOTTLENECK && !self.dirty_mask[f.bottleneck as usize];
-                    if reserved && f.rate_units > level {
-                        self.pull_flow(fk, flows);
-                        grew = true;
-                        pulled_here = true;
-                    }
-                }
-                if !pulled_here {
-                    // Clean scan: tighten the bound to what is actually
-                    // on the link right now.
-                    self.res_max[li] = seen_max;
-                }
-            }
-            if !grew {
-                break;
-            }
-            // Undo tentative fixes so the next iteration re-solves every
-            // dirty flow from scratch.
-            for &fk in &self.dirty_flows {
-                flows.get_mut(fk).expect("dirty flow exists").fixed = false;
-            }
-        }
-        // Re-register every dirty flow under its (possibly new)
-        // bottleneck — the pull index the next solve will consult.
-        for &fk in &self.dirty_flows {
-            let b = flows.get(fk).expect("dirty flow exists").new_bottleneck;
-            if b != NO_BOTTLENECK {
-                self.cohort[b as usize].push(fk);
-            }
-        }
-        for &li in &self.dirty_links {
-            self.dirty_mask[li] = false;
-        }
-        touched.extend_from_slice(&self.dirty_flows);
-    }
-}
-
-/// The per-flow backend shared by the [`Reference`] and [`Incremental`]
-/// arms: every flow carries its own rate, progress remainder, and
-/// position-indexed due-heap entry; a [`FlowSolver`] recomputes rates
-/// and the diff pass settles/retimes exactly the flows whose rate
-/// changed. (The [`Cohort`] arm replaces this whole engine with
-/// cell-level accounting — see the `flow_cohort` module.)
+/// The per-flow backend of the [`Reference`] arm — the oracle the
+/// cohort engine is checked against. Every flow carries its own rate,
+/// progress remainder, and projected completion (`next_due` scans
+/// them); each change re-runs global progressive filling over the
+/// used-link working set
+/// (bottlenecks picked by the canonical `(share, link index)` order with
+/// linear scans), and the diff pass settles/retimes exactly the flows
+/// whose rate changed. O(used links × bottleneck rounds) per change.
 ///
 /// [`Reference`]: FlowSolverKind::Reference
-/// [`Incremental`]: FlowSolverKind::Incremental
-/// [`Cohort`]: FlowSolverKind::Cohort
 #[derive(Debug)]
 pub(crate) struct PerFlowNet {
     capacity_bps: Vec<u64>,
@@ -715,38 +282,31 @@ pub(crate) struct PerFlowNet {
     /// address flows by their [`FlowId`], carried inside the state).
     flows: SlotWindow<FlowState>,
     flows_per_link: Vec<Vec<u64>>,
-    /// Link indices that may carry flows, lazily pruned by the reference
-    /// solver (the incremental solver works from the dirty set instead).
+    /// Link indices that may carry flows, lazily pruned by the solve.
     used_links: Vec<usize>,
     used_mask: Vec<bool>,
-    solver: Box<dyn FlowSolver>,
+    /// Residual capacity per link (solve scratch, refreshed only for
+    /// used links).
+    cap: Vec<u64>,
+    /// Unfixed-flow count per link (solve scratch).
+    cnt: Vec<usize>,
+    /// Flows fixed at the current bottleneck (solve scratch).
+    fixing: Vec<u64>,
     completed: Vec<CompletedFlow>,
     total_admitted: u64,
     /// Recycled flow states: completed flows return here so admissions
     /// reuse their route-vector allocations.
     pool: Vec<FlowState>,
-    /// Seed links of the pending re-solve (flow membership changed).
-    seed_links: Vec<usize>,
-    /// Seed flows of the pending re-solve (just admitted; must be rated).
-    seed_flows: Vec<u64>,
+    /// A re-solve is pending (flows were admitted or removed).
+    pending: bool,
     /// Sim time of the pending admission batch (batches never span two
     /// instants; debug-asserted).
     pending_since: SimTime,
-    /// Σ rate of all flows crossing each link, maintained by the diff
-    /// pass — the incremental solver's O(1) budget source.
-    reserved_units: Vec<u64>,
-    /// Flows the current solve touched (diff-pass input).
-    scratch_touched: Vec<u64>,
-    /// Size of the most recent solve's touched (dirty) flow set — an
-    /// observability stat for the incremental solver's locality.
+    /// Live flows at the most recent solve (every one is re-rated).
     last_solve_touched: usize,
-    /// Flows detected complete during the diff pass.
-    scratch_done: Vec<u64>,
-    /// Projected completions: a position-indexed min-heap over `(due,
-    /// key)` with exactly one entry per rated flow (flows track their
-    /// slot in `heap_pos`), so rate deltas update entries in place —
-    /// no stale entries, no generation churn, O(1) peek.
-    due_heap: Vec<(SimTime, u64)>,
+    /// Flows detected complete during the diff pass or due at an
+    /// advance, as `(due, key)` (completion-order scratch).
+    scratch_done: Vec<(SimTime, u64)>,
 }
 
 /// `topo`'s link capacities in rate units (2⁻²⁰ bps).
@@ -762,34 +322,26 @@ pub(crate) fn link_capacities(topo: &Topology) -> Vec<u64> {
 }
 
 impl PerFlowNet {
-    /// Creates a per-flow network over `topo`'s links with the given
-    /// (per-flow) solver arm.
-    fn with_solver(topo: &Topology, kind: FlowSolverKind) -> Self {
+    /// Creates a reference-arm network over `topo`'s links.
+    fn new(topo: &Topology) -> Self {
         let capacity_bps = link_capacities(topo);
         let n = capacity_bps.len();
-        let solver: Box<dyn FlowSolver> = match kind {
-            FlowSolverKind::Reference => Box::new(ReferenceSolver::new(n)),
-            FlowSolverKind::Incremental => Box::new(IncrementalSolver::new(n)),
-            FlowSolverKind::Cohort => unreachable!("cohort uses the cell backend"),
-        };
         PerFlowNet {
             capacity_bps,
             flows: SlotWindow::new(),
             flows_per_link: vec![Vec::new(); n],
             used_links: Vec::new(),
             used_mask: vec![false; n],
-            solver,
+            cap: vec![0; n],
+            cnt: vec![0; n],
+            fixing: Vec::new(),
             completed: Vec::new(),
             total_admitted: 0,
             pool: Vec::new(),
-            seed_links: Vec::new(),
-            seed_flows: Vec::new(),
+            pending: false,
             pending_since: SimTime::ZERO,
-            reserved_units: vec![0; n],
-            scratch_touched: Vec::new(),
             last_solve_touched: 0,
             scratch_done: Vec::new(),
-            due_heap: Vec::new(),
         }
     }
 
@@ -848,13 +400,12 @@ impl PerFlowNet {
             rate_units: 0,
             new_rate: 0,
             bottleneck: NO_BOTTLENECK,
-            new_bottleneck: NO_BOTTLENECK,
             last_update: now,
             src,
             dst,
             started: now,
             total: 0,
-            heap_pos: NO_HEAP,
+            due: None,
             fixed: true,
         });
         st.id = id;
@@ -868,12 +419,11 @@ impl PerFlowNet {
         st.dst = dst;
         st.started = now;
         st.total = st.remaining;
-        debug_assert_eq!(st.heap_pos, NO_HEAP, "recycled state left in heap");
+        st.due = None;
         st.fixed = true;
-        st.new_bottleneck = NO_BOTTLENECK;
         let key = self.flows.insert(st);
         debug_assert!(
-            self.seed_flows.is_empty() || self.pending_since == now,
+            !self.pending || self.pending_since == now,
             "a batch must not span sim times; flush first"
         );
         self.pending_since = now;
@@ -884,126 +434,30 @@ impl PerFlowNet {
                 self.used_links.push(li);
             }
             self.flows_per_link[li].push(key);
-            self.seed_links.push(li);
         }
-        self.seed_flows.push(key);
+        self.pending = true;
         self.total_admitted += 1;
         key
     }
 
     /// Re-solves any batched admissions. A no-op when none are pending.
     pub fn flush(&mut self, now: SimTime) {
-        if self.seed_flows.is_empty() && self.seed_links.is_empty() {
+        if !self.pending {
             return;
         }
         debug_assert_eq!(self.pending_since, now, "batch flushed at a later instant");
         self.resolve(now);
     }
 
-    // --------------------------------------------------------------
-    // The due-heap: a position-indexed binary min-heap over
-    // `(due, key)`. One entry per rated flow; `FlowState::heap_pos`
-    // tracks the slot so a rate delta updates the entry in place.
-    // Associated functions (not `&mut self`) so callers can borrow
-    // `flows` and `due_heap` out of a destructured `FlowNet`.
-    // --------------------------------------------------------------
-
-    /// Sets (inserting if absent) `key`'s projected completion.
-    fn due_update(
-        flows: &mut SlotWindow<FlowState>,
-        heap: &mut Vec<(SimTime, u64)>,
-        key: u64,
-        due: SimTime,
-    ) {
-        let f = flows.get_mut(key).expect("rated flow exists");
-        let pos = f.heap_pos;
-        if pos == NO_HEAP {
-            let i = heap.len();
-            f.heap_pos = i as u32;
-            heap.push((due, key));
-            Self::due_sift_up(flows, heap, i);
-        } else {
-            let i = pos as usize;
-            let rose = due > heap[i].0;
-            heap[i].0 = due;
-            if rose {
-                Self::due_sift_down(flows, heap, i);
-            } else {
-                Self::due_sift_up(flows, heap, i);
-            }
-        }
-    }
-
-    /// Drops `key`'s entry, if any.
-    fn due_remove(flows: &mut SlotWindow<FlowState>, heap: &mut Vec<(SimTime, u64)>, key: u64) {
-        let pos = flows.get(key).expect("flow exists").heap_pos;
-        if pos == NO_HEAP {
-            return;
-        }
-        flows.get_mut(key).expect("still live").heap_pos = NO_HEAP;
-        let i = pos as usize;
-        let last = heap.len() - 1;
-        if i != last {
-            heap.swap(i, last);
-            heap.pop();
-            let moved = heap[i].1;
-            flows.get_mut(moved).expect("heap entry is live").heap_pos = i as u32;
-            // The moved entry may need to travel either way.
-            Self::due_sift_down(flows, heap, i);
-            Self::due_sift_up(flows, heap, i);
-        } else {
-            heap.pop();
-        }
-    }
-
-    fn due_sift_up(flows: &mut SlotWindow<FlowState>, heap: &mut [(SimTime, u64)], mut i: usize) {
-        let start = i;
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if heap[i] < heap[parent] {
-                heap.swap(i, parent);
-                flows.get_mut(heap[i].1).expect("live").heap_pos = i as u32;
-                i = parent;
-            } else {
-                break;
-            }
-        }
-        if i != start {
-            flows.get_mut(heap[i].1).expect("live").heap_pos = i as u32;
-        }
-    }
-
-    fn due_sift_down(flows: &mut SlotWindow<FlowState>, heap: &mut [(SimTime, u64)], mut i: usize) {
-        let start = i;
-        let n = heap.len();
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            if l >= n {
-                break;
-            }
-            let m = if r < n && heap[r] < heap[l] { r } else { l };
-            if heap[m] < heap[i] {
-                heap.swap(i, m);
-                flows.get_mut(heap[i].1).expect("live").heap_pos = i as u32;
-                i = m;
-            } else {
-                break;
-            }
-        }
-        if i != start {
-            flows.get_mut(heap[i].1).expect("live").heap_pos = i as u32;
-        }
-    }
-
-    /// The earliest projected completion among active flows (exact — the
-    /// indexed heap holds no stale entries, and O(1)). Arm one calendar
-    /// event at this instant. Batched admissions must be flushed first.
+    /// The earliest projected completion among active flows (a scan —
+    /// this is the oracle arm). Arm one calendar event at this instant.
+    /// Batched admissions must be flushed first.
     pub fn next_due(&mut self) -> Option<SimTime> {
         debug_assert!(
-            self.seed_flows.is_empty() && self.seed_links.is_empty(),
+            !self.pending,
             "flush batched admissions before reading completions"
         );
-        self.due_heap.first().map(|&(due, _)| due)
+        self.flows.iter().filter_map(|(_, f)| f.due).min()
     }
 
     /// Completes every flow whose projection is due at or before `now`
@@ -1017,31 +471,24 @@ impl PerFlowNet {
     }
 
     fn advance_due_inner(&mut self, now: SimTime) {
-        self.seed_links.clear();
-        self.seed_flows.clear();
-        let mut any = false;
-        while let Some(&(due, key)) = self.due_heap.first() {
-            if due > now {
-                break;
-            }
-            let f = self.flows.get_mut(key).expect("heap entry is live");
+        let mut due = std::mem::take(&mut self.scratch_done);
+        due.clear();
+        due.extend(
+            self.flows
+                .iter()
+                .filter_map(|(k, f)| f.due.filter(|&d| d <= now).map(|d| (d, k))),
+        );
+        due.sort_unstable();
+        for &(_, key) in &due {
+            let f = self.flows.get_mut(key).expect("due flow is live");
             f.settle(now);
-            if f.remaining > 0 {
-                // Unreachable under exact progress accounting (an
-                // entry's due *is* the first instant the payload has
-                // drained); kept as a defensive re-push so a projection
-                // bug degrades to a late completion, not a stuck loop.
-                debug_assert!(false, "flow past due with progress left");
-                let corrected = f.due(now);
-                let PerFlowNet {
-                    flows, due_heap, ..
-                } = self;
-                Self::due_update(flows, due_heap, key, corrected);
-                continue;
-            }
+            // A flow's due *is* the first instant its payload has
+            // drained under exact progress accounting.
+            debug_assert_eq!(f.remaining, 0, "flow past due with progress left");
             self.unlink(key, true);
-            any = true;
         }
+        let any = !due.is_empty();
+        self.scratch_done = due;
         if any {
             self.resolve(now);
         }
@@ -1054,28 +501,18 @@ impl PerFlowNet {
         if !self.flows.contains(flow) {
             return false;
         }
-        self.seed_links.clear();
-        self.seed_flows.clear();
         self.unlink(flow, false);
         self.resolve(now);
         true
     }
 
-    /// Removes `flow` from the tables, extending `seed_links` with its
-    /// links and optionally reporting it completed.
+    /// Removes `flow` from the tables and optionally reports it
+    /// completed.
     fn unlink(&mut self, flow: u64, completed: bool) {
-        {
-            let PerFlowNet {
-                flows, due_heap, ..
-            } = self;
-            Self::due_remove(flows, due_heap, flow);
-        }
         let f = self.flows.remove(flow).expect("live flow");
         for &l in f.links.as_slice() {
             let li = l.0 as usize;
             self.flows_per_link[li].retain(|&x| x != flow);
-            self.seed_links.push(li);
-            self.reserved_units[li] -= f.rate_units;
         }
         if completed {
             self.completed.push(CompletedFlow {
@@ -1088,100 +525,133 @@ impl PerFlowNet {
         self.pool.push(f);
     }
 
-    /// Re-solves from the current `seed_links`, settles and retimes the
-    /// flows whose rate changed, and completes (then cascades over) flows
-    /// that turn out to be already done at `now`.
-    fn resolve(&mut self, now: SimTime) {
-        loop {
-            let mut touched = std::mem::take(&mut self.scratch_touched);
-            let mut done = std::mem::take(&mut self.scratch_done);
-            touched.clear();
-            done.clear();
-            {
-                let PerFlowNet {
-                    capacity_bps,
-                    flows,
-                    flows_per_link,
-                    used_links,
-                    used_mask,
-                    solver,
-                    seed_links,
-                    seed_flows,
-                    reserved_units,
-                    ..
-                } = self;
-                solver.solve(
-                    SolveCtx {
-                        capacity_bps,
-                        flows,
-                        flows_per_link,
-                        used_links,
-                        used_mask,
-                        seeds: seed_links,
-                        seed_flows,
-                        reserved_units,
-                    },
-                    &mut touched,
-                );
+    /// Global progressive filling: writes every live flow's max-min rate
+    /// into its `new_rate` (and its bottleneck link). Bottlenecks are
+    /// picked by the canonical `(fair share, link index)` order the
+    /// cohort engine shares.
+    fn solve(&mut self) {
+        let PerFlowNet {
+            capacity_bps,
+            flows,
+            flows_per_link,
+            used_links,
+            used_mask,
+            cap,
+            cnt,
+            fixing,
+            last_solve_touched,
+            ..
+        } = self;
+        *last_solve_touched = flows.len();
+        if flows.is_empty() {
+            return;
+        }
+        // Prune links that stopped carrying flows; refresh the residual
+        // capacity and unfixed count of the rest.
+        used_links.retain(|&li| {
+            if flows_per_link[li].is_empty() {
+                used_mask[li] = false;
+                false
+            } else {
+                cap[li] = capacity_bps[li];
+                cnt[li] = flows_per_link[li].len();
+                true
             }
-            self.seed_flows.clear();
-            self.last_solve_touched = touched.len();
-            // Diff order does not matter: reserved-sum updates commute,
-            // the indexed due-heap pops by `(due, key)` regardless of
-            // update order, and the completion batch is sorted below —
-            // every observable is canonical without sorting `touched`.
-            {
-                let PerFlowNet {
-                    flows,
-                    reserved_units,
-                    due_heap,
-                    ..
-                } = self;
-                for &key in &touched {
-                    let f = flows.get_mut(key).expect("touched flow exists");
-                    debug_assert!(f.fixed, "solver left a flow unfixed");
-                    // The bottleneck assignment can shift even at an
-                    // unchanged rate (ties); promote it unconditionally.
-                    f.bottleneck = f.new_bottleneck;
-                    if f.new_rate == f.rate_units {
-                        continue;
-                    }
-                    f.settle(now);
-                    if f.remaining == 0 {
-                        // Already finished under its old rate: complete
-                        // it now instead of retiming (its own event may
-                        // be stale).
-                        done.push(key);
-                        continue;
-                    }
-                    for &l in f.links.as_slice() {
-                        let li = l.0 as usize;
-                        reserved_units[li] = reserved_units[li] - f.rate_units + f.new_rate;
-                    }
-                    f.rate_units = f.new_rate;
-                    if f.rate_units > 0 {
-                        let due = f.due(now);
-                        Self::due_update(flows, due_heap, key, due);
-                    } else {
-                        Self::due_remove(flows, due_heap, key);
-                    }
+        });
+        let mut unfixed = flows.len();
+        for (_, f) in flows.iter_mut() {
+            f.fixed = false;
+        }
+        while unfixed > 0 {
+            // Bottleneck: minimal (fair share, link index) among loaded
+            // links.
+            let mut bottleneck: Option<(usize, u64)> = None;
+            for &li in used_links.iter() {
+                if cnt[li] == 0 {
+                    continue;
+                }
+                let share = cap[li] / cnt[li] as u64;
+                let better = match bottleneck {
+                    None => true,
+                    Some((bl, s)) => share < s || (share == s && li < bl),
+                };
+                if better {
+                    bottleneck = Some((li, share));
                 }
             }
-            self.seed_links.clear();
+            let Some((bl, share)) = bottleneck else {
+                // No loaded links left: remaining flows are route-less
+                // (cannot happen given add_flow's assertion) — fix at 0.
+                for (_, f) in flows.iter_mut() {
+                    if !f.fixed {
+                        f.fixed = true;
+                        f.new_rate = 0;
+                        f.bottleneck = NO_BOTTLENECK;
+                    }
+                }
+                break;
+            };
+            // Fix every unfixed flow crossing the bottleneck at the share.
+            fixing.clear();
+            fixing.extend(
+                flows_per_link[bl]
+                    .iter()
+                    .copied()
+                    .filter(|&k| !flows.get(k).expect("indexed flow exists").fixed),
+            );
+            debug_assert!(!fixing.is_empty());
+            for &key in fixing.iter() {
+                let f = flows.get_mut(key).expect("flow exists");
+                f.fixed = true;
+                f.new_rate = share;
+                f.bottleneck = bl as u32;
+                unfixed -= 1;
+                for &l in f.links.as_slice() {
+                    let li = l.0 as usize;
+                    cap[li] -= share;
+                    cnt[li] -= 1;
+                }
+            }
+        }
+    }
+
+    /// Re-solves, settles and retimes the flows whose rate changed, and
+    /// completes (then cascades over) flows that turn out to be already
+    /// done at `now`.
+    fn resolve(&mut self, now: SimTime) {
+        self.pending = false;
+        loop {
+            self.solve();
+            let mut done = std::mem::take(&mut self.scratch_done);
+            done.clear();
+            for (key, f) in self.flows.iter_mut() {
+                debug_assert!(f.fixed, "solver left a flow unfixed");
+                if f.new_rate == f.rate_units {
+                    continue;
+                }
+                f.settle(now);
+                if f.remaining == 0 {
+                    // Already finished under its old rate: complete it
+                    // now instead of retiming (its own event may be
+                    // stale).
+                    done.push((now, key));
+                    continue;
+                }
+                f.rate_units = f.new_rate;
+                f.due = f.projected_due();
+            }
             let finished = done.is_empty();
-            // Completions must reach the caller in canonical (admission)
-            // order whatever order the diff visited them in.
+            // Completions reach the caller in canonical (admission)
+            // order.
             done.sort_unstable();
-            for &key in &done {
+            for &(_, key) in &done {
                 self.unlink(key, true);
             }
-            self.scratch_touched = touched;
             self.scratch_done = done;
             if finished {
                 return;
             }
-            // Completions freed capacity: cascade a re-solve seeded at
-            // their links.
+            // Completions freed capacity: cascade a re-solve.
         }
     }
 
@@ -1200,14 +670,7 @@ impl PerFlowNet {
     /// observer for tests and tools — the driving simulation arms a
     /// single event at [`next_due`](Self::next_due) instead).
     pub fn completion_of(&self, flow: u64) -> Option<SimTime> {
-        let f = self.flows.get(flow)?;
-        if f.rate_units == 0 {
-            return None;
-        }
-        Some(
-            f.last_update
-                .saturating_add(due_after(f.remaining, f.rate_units)),
-        )
+        self.flows.get(flow)?.due
     }
 
     /// Number of active flows.
@@ -1220,10 +683,8 @@ impl PerFlowNet {
         self.total_admitted
     }
 
-    /// Size of the most recent re-solve's dirty flow set (the flows whose
-    /// rate the solver recomputed) — 0 before any solve. A locality
-    /// observable for the incremental solver, sampled by the metrics
-    /// probes.
+    /// Flows the most recent re-solve re-rated (all live flows) — 0
+    /// before any solve.
     pub fn last_solve_touched(&self) -> usize {
         self.last_solve_touched
     }
@@ -1288,11 +749,10 @@ impl PerFlowNet {
     }
 }
 
-/// Max-min fair flow-level network model with incremental re-solve and
-/// delta-driven completion retiming, behind one of three solver arms
-/// (see [`FlowSolverKind`]): the per-flow `reference` and `incremental`
-/// oracle arms, and the cohort-cell `cohort` arm for overloaded
-/// fabrics. All three retrace byte-identical trajectories on the same
+/// Max-min fair flow-level network model with delta-driven completion
+/// retiming, behind one of two solver arms (see [`FlowSolverKind`]): the
+/// cohort-cell `cohort` production arm and the per-flow `reference`
+/// oracle. Both retrace byte-identical trajectories on the same
 /// admission sequence.
 ///
 /// # Examples
@@ -1324,7 +784,7 @@ pub struct FlowNet {
 }
 
 /// The backend selected by [`FlowNet::with_solver`]: the per-flow
-/// engine (reference/incremental solvers) or the cohort-cell engine.
+/// reference engine or the cohort-cell engine.
 // One instance lives per simulation (inside NetState), so the variant
 // size gap costs nothing; boxing would add a pointer chase to every
 // solver call.
@@ -1353,7 +813,7 @@ macro_rules! forward {
 
 impl FlowNet {
     /// Creates a flow network over `topo`'s links with the default
-    /// (incremental) solver.
+    /// (cohort) solver.
     pub fn new(topo: &Topology) -> Self {
         Self::with_solver(topo, FlowSolverKind::default())
     }
@@ -1363,7 +823,7 @@ impl FlowNet {
     pub fn with_solver(topo: &Topology, kind: FlowSolverKind) -> Self {
         let inner = match kind {
             FlowSolverKind::Cohort => NetImpl::Cohort(CohortNet::new(topo)),
-            _ => NetImpl::PerFlow(PerFlowNet::with_solver(topo, kind)),
+            FlowSolverKind::Reference => NetImpl::PerFlow(PerFlowNet::new(topo)),
         };
         FlowNet { inner }
     }
@@ -1537,12 +997,8 @@ mod tests {
         Some(due)
     }
 
-    fn solver_kinds() -> [FlowSolverKind; 3] {
-        [
-            FlowSolverKind::Reference,
-            FlowSolverKind::Incremental,
-            FlowSolverKind::Cohort,
-        ]
+    fn solver_kinds() -> [FlowSolverKind; 2] {
+        [FlowSolverKind::Reference, FlowSolverKind::Cohort]
     }
 
     #[test]
@@ -1836,7 +1292,7 @@ mod tests {
     /// The decisive equivalence check: drive both solver arms through the
     /// same randomized add/remove/complete sequence on a fat tree and a
     /// star, comparing every flow's rate after every operation. This is
-    /// what licenses the incremental solver's bottleneck-aware pull set.
+    /// what licenses the cohort solver's bottleneck-aware pull set.
     #[test]
     fn random_add_remove_matches_reference() {
         use crate::topologies::fat_tree;

@@ -1,9 +1,9 @@
 //! Cohort-cell backend for the [`Cohort`](crate::flow::FlowSolverKind)
-//! solver arm: every bottleneck cohort — the flows fixed at one link's
-//! fair share — is represented by a single *rate cell* carrying a
-//! virtual-time clock, so a rate-level shift is O(1) bookkeeping per
-//! affected *link* (update the cell's share) instead of O(flows)
-//! settles and retimes.
+//! solver arm, the production fair-share engine. Every bottleneck
+//! cohort — the flows fixed at one link's fair share — is represented by
+//! a single *rate cell* carrying a virtual-time clock, so a rate-level
+//! shift is O(1) bookkeeping per affected *link* (update the cell's
+//! share) instead of O(flows) settles and retimes.
 //!
 //! # The virtual-time cell model
 //!
@@ -23,27 +23,48 @@
 //!
 //! Because progress is exact integer arithmetic (associative
 //! multiply-subtracts), any schedule of cell settles lands on the same
-//! remainders as the per-flow arms' per-flow settles, and the identity
+//! remainders as the reference arm's per-flow settles, and the identity
 //! `ceil((R − s·Δ)/s) = ceil(R/s) − Δ` makes completion instants
 //! invariant under partial settles at constant share — which is what
-//! lets this backend retrace the per-flow arms' trajectories
+//! lets this backend retrace the reference arm's trajectories
 //! byte-for-byte while doing O(cells) work per re-solve.
 //!
 //! Flows materialize real timestamps only when they complete, migrate
 //! cells (split/merge rebases their `vfinish` onto the new cell's
 //! clock), or are observed (`completion_of`, `flow_progress`).
 //!
-//! The solve itself is the incremental bottleneck-aware engine of the
-//! per-flow arm lifted to cell granularity: dirty *cells* are pulled via
-//! a per-link bottleneck registry, link budgets come from the exact
-//! share-weighted allocation aggregate, progressive filling pops
-//! canonical `(share, link)` bottlenecks from a [`LazyHeap`], cells
-//! whose members straddle a bottleneck are split (smaller half moves),
-//! and cells fixed at the same `(bottleneck, share)` merge back
-//! (smaller into larger) at commit. The post-solve audit that licenses
-//! the dirty-set pruning runs at cell granularity too.
+//! # The incremental solve
+//!
+//! A change seeded at some links can only move the rate of cells whose
+//! *bottleneck* link is transitively affected, so each re-solve works
+//! on a dirty set:
+//!
+//! 1. **Pull.** Seed links are dirty; every cell registered as
+//!    bottlenecked at a dirty link is pulled, which dirties all of its
+//!    links, and so on to a fixed point.
+//! 2. **Budget.** Each dirty link's sub-problem budget is its capacity
+//!    minus the shares of the untouched cells crossing it — O(1) per
+//!    link from the exact share-weighted allocation aggregate. Because
+//!    shares are exact integers, these reservation sums are
+//!    order-independent and the residual equals what a global solve
+//!    would carry into that link's bottleneck round.
+//! 3. **Fill.** Progressive filling over the sub-problem: bottlenecks
+//!    pop in the canonical `(share, link)` order from a heap of lower
+//!    bounds (shares only rise as cells fix, so a stale key is revalidated
+//!    in place). A cell whose members straddle a bottleneck is split
+//!    (the smaller side moves to a new cell).
+//! 4. **Audit.** A reservation is only valid while its cell stays at or
+//!    below every dirty link's new level. If a popped level undercut the
+//!    share of an untouched cell crossing that link, the cell is pulled
+//!    and the grown sub-problem re-solved (rare: the change shifted which
+//!    link constrains the cell). A per-link upper bound on crossing
+//!    shares skips the scan when a level cannot have undercut anything.
+//! 5. **Commit.** New shares apply (settling each changed cell's clock
+//!    first), and cells fixed at the same `(bottleneck, share)` merge
+//!    (smaller into larger) — they are one cohort.
+//!
+//! Untouched cells keep their shares and completion entries.
 
-use holdcsim_des::lazy_heap::LazyHeap;
 use holdcsim_des::slot_window::SlotWindow;
 use holdcsim_des::time::SimTime;
 
@@ -56,6 +77,16 @@ use crate::topology::Topology;
 
 /// Sentinel cell index.
 const NO_CELL: u32 = u32::MAX;
+
+/// The smallest `cells_crossing` compaction limit.
+const CROSSING_MIN_LIMIT: u32 = 16;
+
+/// The compaction limit of an audit list just compacted to `len`.
+fn crossing_limit_after(len: usize) -> u32 {
+    u32::try_from(2 * len)
+        .unwrap_or(u32::MAX)
+        .max(CROSSING_MIN_LIMIT)
+}
 
 /// One active flow: route, identity, and its position on its cell's
 /// virtual clock. No rate, no progress remainder, no due-heap slot —
@@ -159,11 +190,16 @@ fn heap_pop(h: &mut Vec<(u128, u64)>) {
     }
 }
 
-/// Bumps `li`'s member count in a sorted cross list.
-fn cross_inc(cross: &mut Vec<(u32, u32)>, li: u32) {
-    match cross.binary_search_by_key(&li, |e| e.0) {
-        Ok(p) => cross[p].1 += 1,
-        Err(p) => cross.insert(p, (li, 1)),
+/// Sorts `links` (a multiset of link indices) and writes its cross list
+/// — `(link, multiplicity)` ascending — into the empty `out`.
+fn footprint(links: &mut [u32], out: &mut Vec<(u32, u32)>) {
+    debug_assert!(out.is_empty());
+    links.sort_unstable();
+    for &l in links.iter() {
+        match out.last_mut() {
+            Some(e) if e.0 == l => e.1 += 1,
+            _ => out.push((l, 1)),
+        }
     }
 }
 
@@ -212,11 +248,11 @@ fn settle_cell(
 ) {
     let dt = now.saturating_duration_since(cell.last_update).as_nanos();
     if dt == 0 {
-        // Mirror the per-flow arm's settle exactly: the clock origin
-        // moves to `now` even when `now` precedes `last_update` (a
-        // resolve triggered by a stale past due), re-charging the
-        // overlap — the oracle arms bank that same surplus, so tracing
-        // them bit-for-bit means reproducing it.
+        // Mirror the reference arm's per-flow settle exactly: the clock
+        // origin moves to `now` even when `now` precedes `last_update`
+        // (a resolve triggered by a stale past due), re-charging the
+        // overlap — the reference banks that same surplus, so tracing
+        // it bit-for-bit means reproducing it.
         cell.last_update = now;
         return;
     }
@@ -251,7 +287,7 @@ fn refresh_cell_due(
     cell: &mut Cell,
     cell_id: u32,
     flows: &SlotWindow<CFlow>,
-    cell_due: &mut LazyHeap<SimTime>,
+    cell_due: &mut DueHeap,
 ) {
     while let Some(&(vf, key)) = cell.heap.first() {
         if entry_valid(flows, cell_id, vf, key) {
@@ -265,15 +301,194 @@ fn refresh_cell_due(
             let due = cell
                 .last_update
                 .saturating_add(due_after(vf - cell.vclock, cell.share));
-            cell_due.update(cell_id as usize, due);
+            cell_due.set(cell_id, due);
         }
-        _ => cell_due.remove(cell_id as usize),
+        _ => cell_due.remove(cell_id),
+    }
+}
+
+/// Sentinel [`DueHeap`] position of an absent cell.
+const NO_POS: u32 = u32::MAX;
+
+/// The cell-due heap: a position-indexed min-heap over `(due, cell)`
+/// with at most one entry per cell, re-keyed or removed in place, so it
+/// holds exactly the cells with a projected completion — no stale
+/// entries, O(1) peek, ties broken by cell index.
+#[derive(Debug, Default)]
+struct DueHeap {
+    heap: Vec<(SimTime, u32)>,
+    /// Each cell's slot in `heap` (`NO_POS` when absent).
+    pos: Vec<u32>,
+}
+
+impl DueHeap {
+    /// The earliest `(cell, due)`.
+    fn peek(&self) -> Option<(u32, SimTime)> {
+        self.heap.first().map(|&(k, i)| (i, k))
+    }
+
+    /// Sets (inserting if absent) `item`'s due.
+    fn set(&mut self, item: u32, key: SimTime) {
+        let ii = item as usize;
+        if ii >= self.pos.len() {
+            self.pos.resize(ii + 1, NO_POS);
+        }
+        let p = self.pos[ii];
+        if p == NO_POS {
+            self.heap.push((key, item));
+            self.sift_up(self.heap.len() - 1);
+        } else {
+            let p = p as usize;
+            let rose = key > self.heap[p].0;
+            self.heap[p].0 = key;
+            if rose {
+                self.sift_down(p);
+            } else {
+                self.sift_up(p);
+            }
+        }
+    }
+
+    /// Drops `item`'s entry, if any. Cheap for the typical entry, which
+    /// sits near the leaves.
+    fn remove(&mut self, item: u32) {
+        let Some(&p) = self.pos.get(item as usize) else {
+            return;
+        };
+        if p == NO_POS {
+            return;
+        }
+        self.pos[item as usize] = NO_POS;
+        let p = p as usize;
+        let last = self.heap.pop().expect("positioned entry exists");
+        if p < self.heap.len() {
+            // The former last entry fills the hole and may need to travel
+            // either way.
+            self.heap[p] = last;
+            self.pos[last.1 as usize] = p as u32;
+            self.sift_down(p);
+            self.sift_up(p);
+        }
+    }
+
+    fn sift_up(&mut self, mut p: usize) {
+        let e = self.heap[p];
+        while p > 0 {
+            let parent = (p - 1) / 2;
+            if e >= self.heap[parent] {
+                break;
+            }
+            self.heap[p] = self.heap[parent];
+            self.pos[self.heap[p].1 as usize] = p as u32;
+            p = parent;
+        }
+        self.heap[p] = e;
+        self.pos[e.1 as usize] = p as u32;
+    }
+
+    fn sift_down(&mut self, mut p: usize) {
+        let e = self.heap[p];
+        let n = self.heap.len();
+        loop {
+            let (l, r) = (2 * p + 1, 2 * p + 2);
+            if l >= n {
+                break;
+            }
+            let m = if r < n && self.heap[r] < self.heap[l] {
+                r
+            } else {
+                l
+            };
+            if self.heap[m] >= e {
+                break;
+            }
+            self.heap[p] = self.heap[m];
+            self.pos[self.heap[p].1 as usize] = p as u32;
+            p = m;
+        }
+        self.heap[p] = e;
+        self.pos[e.1 as usize] = p as u32;
+    }
+}
+
+/// The fill's bottleneck selector: a binary min-heap of `(fair share,
+/// link)` candidates, each packed into one `u128` (share in the high
+/// bits) so the canonical order is a single integer compare and the
+/// sift-down picks children without branching. Rebuilt per fill round
+/// by one O(links) heapify; stale keys are raised in place at the head
+/// (shares only rise during a fill).
+#[derive(Debug, Default)]
+struct FillHeap {
+    keys: Vec<u128>,
+}
+
+impl FillHeap {
+    fn pack(link: usize, share: u64) -> u128 {
+        (u128::from(share) << 32) | link as u128
+    }
+
+    /// Replaces the contents with `(link, share)` candidates (distinct
+    /// links).
+    fn rebuild(&mut self, items: impl Iterator<Item = (usize, u64)>) {
+        self.keys.clear();
+        self.keys
+            .extend(items.map(|(li, share)| Self::pack(li, share)));
+        for i in (0..self.keys.len() / 2).rev() {
+            self.sift_down(i);
+        }
+    }
+
+    /// The minimal `(link, share)`.
+    fn peek(&self) -> Option<(usize, u64)> {
+        self.keys
+            .first()
+            .map(|&k| (k as u32 as usize, (k >> 32) as u64))
+    }
+
+    /// Re-keys the head's link to `share` (no lower than its key).
+    fn replace_head(&mut self, share: u64) {
+        debug_assert!(share >= (self.keys[0] >> 32) as u64, "shares only rise");
+        self.keys[0] = Self::pack(self.keys[0] as u32 as usize, share);
+        self.sift_down(0);
+    }
+
+    /// Drops the head.
+    fn pop(&mut self) {
+        let last = self.keys.pop().expect("pop of an empty fill heap");
+        if !self.keys.is_empty() {
+            self.keys[0] = last;
+            self.sift_down(0);
+        }
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let keys = &mut self.keys;
+        let n = keys.len();
+        let e = keys[i];
+        loop {
+            let l = 2 * i + 1;
+            if l >= n {
+                break;
+            }
+            // The smaller child, chosen arithmetically.
+            let m = if l + 1 < n {
+                l + usize::from(keys[l + 1] < keys[l])
+            } else {
+                l
+            };
+            if keys[m] >= e {
+                break;
+            }
+            keys[i] = keys[m];
+            i = m;
+        }
+        keys[i] = e;
     }
 }
 
 /// The cohort-cell flow engine (the `cohort` arm's backend). Public
-/// surface mirrors the per-flow backend exactly; see the module docs
-/// for the model.
+/// surface mirrors [`FlowNet`](crate::flow::FlowNet)'s; see the module
+/// docs for the model.
 #[derive(Debug)]
 pub(crate) struct CohortNet {
     /// Link capacities in rate units.
@@ -282,8 +497,7 @@ pub(crate) struct CohortNet {
     cells: Vec<Cell>,
     free_cells: Vec<u32>,
     /// Σ share · crossing-count over live cells, per link — the exact
-    /// committed allocation aggregate (the per-flow arms'
-    /// `reserved_units`), the solver's O(1) budget source.
+    /// committed allocation aggregate, the solver's O(1) budget source.
     alloc: Vec<u64>,
     /// Active-flow count per link (`flows_on_link`).
     nflows: Vec<u32>,
@@ -293,17 +507,22 @@ pub(crate) struct CohortNet {
     cells_at: Vec<Vec<u32>>,
     /// Cells crossing each link — the audit index. Entries are lazy
     /// (validated as `live && crosses link`), compacted in place by the
-    /// audit scans that walk them.
+    /// audit scans that walk them and by registrations that find the
+    /// list at its `crossing_limit`.
     cells_crossing: Vec<Vec<u32>>,
+    /// Per link: the `cells_crossing` length that triggers a compaction
+    /// on registration — twice the length after the last compaction, so
+    /// stale entries stay within a constant factor of the live ones.
+    crossing_limit: Vec<u32>,
     /// One entry per cell with a projected completion: the cell's
     /// earliest member due. Exact at rest (eagerly refreshed), so
     /// `next_due` is a peek.
-    cell_due: LazyHeap<SimTime>,
+    cell_due: DueHeap,
     /// Parked past-due members: `(original due, key, share at parking)`.
     /// A parked flow completes at the next `advance_due` — or at the
     /// first commit that changes its cell's share away from the parked
-    /// share, which is the cell-world image of the per-flow diff pass
-    /// settling a rate-changed flow to zero remaining.
+    /// share, which is the cell-world image of the reference arm's diff
+    /// pass settling a rate-changed flow to zero remaining.
     overdue: Vec<(SimTime, u64, u64)>,
     completed: Vec<CompletedFlow>,
     total_admitted: u64,
@@ -323,14 +542,13 @@ pub(crate) struct CohortNet {
     /// Unfixed dirty-flow count per dirty link during a fill.
     cnt: Vec<u64>,
     /// Bottleneck selector: canonical `(share, link)` pops with lazy
-    /// revalidation, exactly as in the per-flow incremental arm.
-    heap: LazyHeap<u64>,
+    /// revalidation.
+    heap: FillHeap,
     dirty_links: Vec<usize>,
     dirty_mask: Vec<bool>,
     dirty_cells: Vec<u32>,
-    /// Dirty cells crossing each dirty link (fill candidates; splits
-    /// append, so fills iterate by index).
-    dirty_list: Vec<Vec<u32>>,
+    /// The dirty cells not yet fixed by the in-progress fill.
+    pending: Vec<u32>,
     /// Σ share · crossing-count of dirty cells per dirty link: credited
     /// back against `alloc` to get the sub-problem budget.
     dirty_alloc: Vec<u64>,
@@ -338,15 +556,27 @@ pub(crate) struct CohortNet {
     dirty_weight: Vec<u64>,
     /// `(link, fair level)` per progressive-filling round, for the audit.
     levels: Vec<(usize, u64)>,
-    /// Persistent per-link upper bound on any crossing cell's share —
-    /// the audit's skip gate (see the per-flow arm).
+    /// Persistent per-link upper bound on any crossing cell's share
+    /// (ratcheted up at fix time, tightened by clean audit scans) — the
+    /// audit's skip gate: a popped level at or above it cannot have
+    /// undercut any reservation, so the scan is skipped, the common case
+    /// when completions raise levels.
     res_max: Vec<u64>,
-    /// Split partition scratch (member keys).
+    /// Split partition scratch (member keys crossing / not crossing the
+    /// splitting link).
     part_scratch: Vec<u64>,
+    rest_scratch: Vec<u64>,
+    /// Link-index scratch for building cross lists.
+    link_scratch: Vec<u32>,
     /// Monotonic audit-compaction counter (pairs with `Cell::scan_mark`
     /// to dedup registry entries in place; starts at 1 so a freshly
     /// zeroed mark never collides).
     scan_epoch: u64,
+    /// Splits and merges performed (test observables).
+    #[cfg(test)]
+    splits: usize,
+    #[cfg(test)]
+    merges: usize,
     /// Commit grouping scratch: `(new bottleneck, cell)` sorted.
     order_scratch: Vec<(u32, u32)>,
     /// Flows completing inside the current resolve (sorted by key).
@@ -369,7 +599,8 @@ impl CohortNet {
             nflows: vec![0; n],
             cells_at: vec![Vec::new(); n],
             cells_crossing: vec![Vec::new(); n],
-            cell_due: LazyHeap::new(),
+            crossing_limit: vec![CROSSING_MIN_LIMIT; n],
+            cell_due: DueHeap::default(),
             overdue: Vec::new(),
             completed: Vec::new(),
             total_admitted: 0,
@@ -380,17 +611,23 @@ impl CohortNet {
             pending_since: SimTime::ZERO,
             cap: vec![0; n],
             cnt: vec![0; n],
-            heap: LazyHeap::new(),
+            heap: FillHeap::default(),
             dirty_links: Vec::new(),
             dirty_mask: vec![false; n],
             dirty_cells: Vec::new(),
-            dirty_list: vec![Vec::new(); n],
+            pending: Vec::new(),
             dirty_alloc: vec![0; n],
             dirty_weight: vec![0; n],
             levels: Vec::new(),
             res_max: vec![0; n],
             part_scratch: Vec::new(),
+            rest_scratch: Vec::new(),
+            link_scratch: Vec::new(),
             scan_epoch: 1,
+            #[cfg(test)]
+            splits: 0,
+            #[cfg(test)]
+            merges: 0,
             order_scratch: Vec::new(),
             done_scratch: Vec::new(),
             harvest: Vec::new(),
@@ -421,6 +658,32 @@ impl CohortNet {
         c
     }
 
+    /// Registers cell `c` in `li`'s audit index. A registration that
+    /// finds the list at its limit first compacts it — dropping dead,
+    /// departed and duplicate entries exactly as an audit scan would —
+    /// so the index stays O(live cells) on links no audit walks.
+    fn register_crossing(&mut self, li: usize, c: u32) {
+        if self.cells_crossing[li].len() >= self.crossing_limit[li] as usize {
+            self.scan_epoch += 1;
+            let epoch = self.scan_epoch;
+            let CohortNet {
+                cells,
+                cells_crossing,
+                ..
+            } = self;
+            cells_crossing[li].retain(|&e| {
+                let cell = &mut cells[e as usize];
+                let keep = cell.live && cell.scan_mark != epoch && cross_of(cell, li as u32) > 0;
+                if keep {
+                    cell.scan_mark = epoch;
+                }
+                keep
+            });
+            self.crossing_limit[li] = crossing_limit_after(self.cells_crossing[li].len());
+        }
+        self.cells_crossing[li].push(c);
+    }
+
     /// Frees an empty (or fully-migrated) cell.
     fn free_cell(&mut self, c: u32) {
         let cell = &mut self.cells[c as usize];
@@ -428,12 +691,13 @@ impl CohortNet {
         cell.members.clear();
         cell.cross.clear();
         cell.heap.clear();
-        self.cell_due.remove(c as usize);
+        self.cell_due.remove(c);
         self.free_cells.push(c);
     }
 
-    /// Admits a flow, re-solves, and returns its key (see the per-flow
-    /// arm for the contract).
+    /// Admits a flow, re-solves, and returns its key (see
+    /// [`FlowNet::add_flow`](crate::flow::FlowNet::add_flow) for the
+    /// contract).
     ///
     /// # Panics
     ///
@@ -507,12 +771,12 @@ impl CohortNet {
         let cell = &mut self.cells[c as usize];
         cell.members.push(key);
         heap_push(&mut cell.heap, (progress_units(bytes), key));
-        for &l in links {
-            cross_inc(&mut cell.cross, l.0);
-        }
+        self.link_scratch.clear();
+        self.link_scratch.extend(links.iter().map(|l| l.0));
+        footprint(&mut self.link_scratch, &mut cell.cross);
         for i in 0..self.cells[c as usize].cross.len() {
             let li = self.cells[c as usize].cross[i].0 as usize;
-            self.cells_crossing[li].push(c);
+            self.register_crossing(li, c);
         }
         for &l in links {
             let li = l.0 as usize;
@@ -563,7 +827,6 @@ impl CohortNet {
             if due > now {
                 break;
             }
-            let c = c as u32;
             {
                 let CohortNet {
                     cells,
@@ -669,11 +932,9 @@ impl CohortNet {
     }
 
     // ------------------------------------------------------------------
-    // The cell-granular incremental solve. Structure and invariants
-    // mirror the per-flow `IncrementalSolver` exactly — budgets from the
-    // allocation aggregate, canonical `(share, link)` pops with lazy
-    // revalidation, `res_max`-gated audit — with flows replaced by cells
-    // and per-flow counts by cross counts.
+    // The incremental solve (see the module docs): pull, budget, fill,
+    // audit, commit — over cells, with per-link member counts taken from
+    // the cells' cross counts.
     // ------------------------------------------------------------------
 
     /// Marks `li` dirty (idempotent), resetting its per-solve
@@ -684,7 +945,6 @@ impl CohortNet {
         }
         self.dirty_mask[li] = true;
         self.dirty_links.push(li);
-        self.dirty_list[li].clear();
         self.dirty_alloc[li] = 0;
         self.dirty_weight[li] = 0;
     }
@@ -703,7 +963,6 @@ impl CohortNet {
             let (li, k) = self.cells[c as usize].cross[i];
             let li = li as usize;
             self.mark_link(li);
-            self.dirty_list[li].push(c);
             self.dirty_alloc[li] += share * k as u64;
             self.dirty_weight[li] += k as u64;
         }
@@ -740,6 +999,10 @@ impl CohortNet {
     /// new cell starts a zero clock at `now` with members' `vfinish`
     /// rebased, which the settle-invariance identity makes transparent.
     fn split_cell(&mut self, c: u32, bl: u32, now: SimTime) -> u32 {
+        #[cfg(test)]
+        {
+            self.splits += 1;
+        }
         {
             let CohortNet {
                 cells,
@@ -749,25 +1012,25 @@ impl CohortNet {
             } = self;
             settle_cell(&mut cells[c as usize], c, flows, now, overdue);
         }
-        let mut part = std::mem::take(&mut self.part_scratch);
-        part.clear();
-        let crosses = |f: &CFlow| f.links.as_slice().iter().any(|l| l.0 == bl);
+        // One pass partitions the members; the smaller side moves.
+        let mut crossing = std::mem::take(&mut self.part_scratch);
+        let mut rest = std::mem::take(&mut self.rest_scratch);
+        crossing.clear();
+        rest.clear();
         for &k in &self.cells[c as usize].members {
-            if crosses(self.flows.get(k).expect("member is live")) {
-                part.push(k);
+            let f = self.flows.get(k).expect("member is live");
+            if f.links.as_slice().iter().any(|l| l.0 == bl) {
+                crossing.push(k);
+            } else {
+                rest.push(k);
             }
         }
-        let n = self.cells[c as usize].members.len();
-        debug_assert!(!part.is_empty() && part.len() < n, "split must be proper");
-        let move_crossing = part.len() * 2 <= n;
-        if !move_crossing {
-            part.clear();
-            for &k in &self.cells[c as usize].members {
-                if !crosses(self.flows.get(k).expect("member is live")) {
-                    part.push(k);
-                }
-            }
-        }
+        debug_assert!(
+            !crossing.is_empty() && !rest.is_empty(),
+            "split must be proper"
+        );
+        let move_crossing = crossing.len() <= rest.len();
+        let part = if move_crossing { &crossing } else { &rest };
         let nc = self.alloc_cell(now);
         {
             let (src, dst) = (c as usize, nc as usize);
@@ -777,8 +1040,21 @@ impl CohortNet {
             self.cells[dst].bottleneck = self.cells[src].bottleneck;
             self.cells[dst].new_bottleneck = NO_BOTTLENECK;
             self.cells[dst].fixed = false;
-            let CohortNet { cells, flows, .. } = self;
-            for &k in &part {
+            let CohortNet {
+                cells,
+                flows,
+                link_scratch,
+                ..
+            } = self;
+            link_scratch.clear();
+            for &k in part {
+                // Leave the source by swap-remove, re-slotting only the
+                // member that fills the hole.
+                let pos = flows.get(k).expect("member is live").member_pos as usize;
+                cells[src].members.swap_remove(pos);
+                if let Some(&filled) = cells[src].members.get(pos) {
+                    flows.get_mut(filled).expect("member is live").member_pos = pos as u32;
+                }
                 let f = flows.get_mut(k).expect("member is live");
                 f.cell = nc;
                 // Parked members rebase to the clock origin (their
@@ -790,33 +1066,34 @@ impl CohortNet {
                 if !od {
                     heap_push(&mut cells[dst].heap, (vf, k));
                 }
-                for &l in f.links.as_slice() {
-                    cross_dec(&mut cells[src].cross, l.0);
-                    cross_inc(&mut cells[dst].cross, l.0);
+                link_scratch.extend(f.links.as_slice().iter().map(|l| l.0));
+            }
+            // The moved footprint in one sorted pass, subtracted from the
+            // source's (it is a sub-multiset of it).
+            let mut moved = std::mem::take(&mut cells[dst].cross);
+            footprint(link_scratch, &mut moved);
+            let mut j = 0;
+            cells[src].cross.retain_mut(|e| {
+                while moved[j].0 < e.0 && j + 1 < moved.len() {
+                    j += 1;
                 }
-            }
-            // Compact the source member list and re-slot survivors.
-            let flows = &self.flows;
-            self.cells[src]
-                .members
-                .retain(|&k| flows.get(k).expect("member is live").cell == c);
-            for pos in 0..self.cells[src].members.len() {
-                let k = self.cells[src].members[pos];
-                self.flows.get_mut(k).expect("member is live").member_pos = pos as u32;
-            }
+                if moved[j].0 == e.0 {
+                    e.1 -= moved[j].1;
+                }
+                e.1 > 0
+            });
+            cells[dst].cross = moved;
         }
-        part.clear();
-        self.part_scratch = part;
-        // Register the new cell everywhere the source was: audit index,
-        // dirty set, and the per-link fill candidate lists. The dirty
-        // budget aggregates are untouched — the partition preserves
-        // their sums.
+        self.part_scratch = crossing;
+        self.rest_scratch = rest;
+        // Register the new cell where the source was: audit index and
+        // dirty set. The dirty budget aggregates are untouched — the
+        // partition preserves their sums.
         self.dirty_cells.push(nc);
         for i in 0..self.cells[nc as usize].cross.len() {
             let li = self.cells[nc as usize].cross[i].0 as usize;
             debug_assert!(self.dirty_mask[li], "split cell's links are all dirty");
-            self.cells_crossing[li].push(nc);
-            self.dirty_list[li].push(nc);
+            self.register_crossing(li, nc);
         }
         if move_crossing {
             nc
@@ -825,9 +1102,9 @@ impl CohortNet {
         }
     }
 
-    /// The cell-granular incremental solve: pull, budget, fill, audit —
-    /// see the per-flow arm for the phase-by-phase rationale. `now` is
-    /// needed only by splits (their clock rebasing settles the source).
+    /// The incremental solve's pull, budget, fill and audit phases (see
+    /// the module docs). `now` is needed only by splits (their clock
+    /// rebasing settles the source).
     fn solve_cells(&mut self, now: SimTime) {
         self.dirty_links.clear();
         self.dirty_cells.clear();
@@ -859,88 +1136,100 @@ impl CohortNet {
             }
             // Budget phase: capacity minus the committed shares of
             // untouched cells, from the exact aggregates — O(1) per
-            // dirty link.
-            self.heap.clear();
-            for i in 0..self.dirty_links.len() {
-                let li = self.dirty_links[i];
-                let reserved = self.alloc[li] - self.dirty_alloc[li];
-                let budget = self.capacity[li]
-                    .checked_sub(reserved)
-                    .expect("reservations never exceed capacity");
-                let w = self.dirty_weight[li];
-                self.cap[li] = budget;
-                self.cnt[li] = w;
-                if let Some(share) = budget.checked_div(w) {
-                    self.heap.update(li, share);
-                }
+            // dirty link — then one O(links) heapify of the loaded ones.
+            {
+                let CohortNet {
+                    dirty_links,
+                    alloc,
+                    dirty_alloc,
+                    capacity,
+                    dirty_weight,
+                    cap,
+                    cnt,
+                    heap,
+                    ..
+                } = self;
+                heap.rebuild(dirty_links.iter().filter_map(|&li| {
+                    let reserved = alloc[li] - dirty_alloc[li];
+                    let budget = capacity[li]
+                        .checked_sub(reserved)
+                        .expect("reservations never exceed capacity");
+                    let w = dirty_weight[li];
+                    cap[li] = budget;
+                    cnt[li] = w;
+                    budget.checked_div(w).map(|share| (li, share))
+                }));
             }
             // Fill phase: progressive filling over the sub-problem, by
-            // cell. `unfixed` counts member flows so the termination
-            // measure matches the per-flow arm's.
+            // cell, until every dirty cell is fixed.
             self.levels.clear();
-            let mut unfixed: u64 = self
-                .dirty_cells
-                .iter()
-                .map(|&c| self.cells[c as usize].members.len() as u64)
-                .sum();
-            while unfixed > 0 {
-                let Some((bl, stale_share)) = self.heap.pop() else {
+            let mut pending = std::mem::take(&mut self.pending);
+            pending.clear();
+            pending.extend_from_slice(&self.dirty_cells);
+            while !pending.is_empty() {
+                let Some((bl, stale_share)) = self.heap.peek() else {
                     // Defensive: cannot run dry while cells are unfixed
                     // (every dirty cell crosses a dirty link counting
                     // it). Park stragglers at zero on their first link.
-                    for i in 0..self.dirty_cells.len() {
-                        let c = self.dirty_cells[i] as usize;
-                        if !self.cells[c].fixed {
-                            self.cells[c].fixed = true;
-                            self.cells[c].new_share = 0;
-                            self.cells[c].new_bottleneck = self.cells[c]
-                                .cross
-                                .first()
-                                .map_or(NO_BOTTLENECK, |&(l, _)| l);
-                        }
+                    for &c in &pending {
+                        let cell = &mut self.cells[c as usize];
+                        cell.fixed = true;
+                        cell.new_share = 0;
+                        cell.new_bottleneck = cell.cross.first().map_or(NO_BOTTLENECK, |&(l, _)| l);
                     }
+                    pending.clear();
                     break;
                 };
                 if self.cnt[bl] == 0 {
-                    continue; // emptied passively since its last push
-                }
-                // Lazy revalidation (see the per-flow arm): the first
-                // validated pop is the canonical (share, link) minimum.
-                let share = self.cap[bl] / self.cnt[bl];
-                if share != stale_share {
-                    self.heap.update(bl, share);
+                    self.heap.pop(); // emptied passively since its push
                     continue;
                 }
+                // Lazy revalidation: shares only rise as cells fix, so a
+                // stale entry is an optimistic lower bound — raise it in
+                // place and look again. The first head that validates is
+                // exactly the canonical (share, link) minimum.
+                let share = self.cap[bl] / self.cnt[bl];
+                if share != stale_share {
+                    self.heap.replace_head(share);
+                    continue;
+                }
+                self.heap.pop();
                 self.levels.push((bl, share));
+                // Fix every pending cell's members that cross `bl`,
+                // splitting cells that straddle it. A split moves one side
+                // to a new cell: if that is the crossing side it is fixed
+                // at once, otherwise it joins `pending` and its crossing
+                // source is fixed in place.
                 let mut fixed_any = false;
-                // By index: splits append their new cell to this list
-                // when it crosses `bl`, and it must be fixed this round.
                 let mut j = 0;
-                while j < self.dirty_list[bl].len() {
-                    let c = self.dirty_list[bl][j];
-                    j += 1;
-                    if self.cells[c as usize].fixed {
-                        continue;
-                    }
+                while j < pending.len() {
+                    let c = pending[j];
                     let k = cross_of(&self.cells[c as usize], bl as u32);
                     if k == 0 {
-                        continue; // split remnant that left this link
+                        j += 1;
+                        continue;
                     }
                     let n = self.cells[c as usize].members.len() as u32;
                     let target = if k == n {
                         c
                     } else {
-                        self.split_cell(c, bl as u32, now)
+                        let target = self.split_cell(c, bl as u32, now);
+                        if target == c {
+                            pending.push(*self.dirty_cells.last().expect("split cell"));
+                        }
+                        target
                     };
-                    if self.cells[target as usize].fixed {
-                        continue; // the split registered it here twice
-                    }
                     self.fix_cell(target, bl as u32, share);
-                    unfixed -= self.cells[target as usize].members.len() as u64;
                     fixed_any = true;
+                    if target == c {
+                        pending.swap_remove(j);
+                    } else {
+                        j += 1;
+                    }
                 }
-                debug_assert!(fixed_any);
+                debug_assert!(fixed_any, "a validated bottleneck fixes a cell");
             }
+            self.pending = pending;
             // Audit phase: pull any clean cell whose reserved share a
             // popped level undercut, and re-solve the grown sub-problem.
             // Scans compact their index in place.
@@ -989,6 +1278,7 @@ impl CohortNet {
                     }
                 }
                 list.truncate(w);
+                self.crossing_limit[li] = crossing_limit_after(w);
                 self.cells_crossing[li] = list;
                 if !pulled_here {
                     self.res_max[li] = seen_max;
@@ -1068,7 +1358,7 @@ impl CohortNet {
         order.clear();
         self.order_scratch = order;
         // Parked-overdue members whose cell's share changed this solve
-        // complete now — exactly the flows the per-flow diff pass would
+        // complete now — exactly the flows the reference diff pass would
         // have settled to zero remaining. Unchanged shares stay parked.
         let CohortNet {
             overdue,
@@ -1092,7 +1382,7 @@ impl CohortNet {
     /// Applies a dirty cell's solved `(new_share, new_bottleneck)`. A
     /// share change settles the clock first so drained progress is
     /// banked at the old rate; the bottleneck is promoted
-    /// unconditionally, matching the per-flow diff pass.
+    /// unconditionally.
     fn apply_share(&mut self, c: u32, now: SimTime) {
         let changed = self.cells[c as usize].new_share != self.cells[c as usize].share;
         if changed {
@@ -1144,6 +1434,10 @@ impl CohortNet {
     /// makes the rebase exact — both clocks advance identically from
     /// `now` on.
     fn merge_into(&mut self, t: u32, s: u32, now: SimTime) {
+        #[cfg(test)]
+        {
+            self.merges += 1;
+        }
         debug_assert_eq!(self.cells[t as usize].share, self.cells[s as usize].share);
         {
             let CohortNet {
@@ -1155,11 +1449,13 @@ impl CohortNet {
             settle_cell(&mut cells[t as usize], t, flows, now, overdue);
             settle_cell(&mut cells[s as usize], s, flows, now, overdue);
         }
-        let members = std::mem::take(&mut self.cells[s as usize].members);
-        let cross = std::mem::take(&mut self.cells[s as usize].cross);
+        // Taken out and handed back cleared, so the freed slot keeps its
+        // allocations for the next cell.
+        let mut members = std::mem::take(&mut self.cells[s as usize].members);
+        let mut cross = std::mem::take(&mut self.cells[s as usize].cross);
         let v_src = self.cells[s as usize].vclock;
         let v_tgt = self.cells[t as usize].vclock;
-        for k in members {
+        for &k in &members {
             let f = self.flows.get_mut(k).expect("member is live");
             f.cell = t;
             f.vfinish = v_tgt + f.vfinish.saturating_sub(v_src);
@@ -1170,20 +1466,21 @@ impl CohortNet {
                 heap_push(&mut self.cells[t as usize].heap, (vf, k));
             }
         }
-        for (li, k) in cross {
+        for &(li, k) in &cross {
             let tc = &mut self.cells[t as usize].cross;
             match tc.binary_search_by_key(&li, |&(l, _)| l) {
                 Ok(pos) => tc[pos].1 += k,
                 Err(pos) => {
                     tc.insert(pos, (li, k));
-                    self.cells_crossing[li as usize].push(t);
+                    self.register_crossing(li as usize, t);
                 }
             }
         }
-        self.cell_due.remove(s as usize);
-        self.cells[s as usize].live = false;
-        self.cells[s as usize].heap.clear();
-        self.free_cells.push(s);
+        members.clear();
+        cross.clear();
+        self.cells[s as usize].members = members;
+        self.cells[s as usize].cross = cross;
+        self.free_cell(s);
     }
 
     /// Re-solves after seeded changes and drains the completion cascade:
@@ -1210,7 +1507,7 @@ impl CohortNet {
     }
 
     // ------------------------------------------------------------------
-    // Observers — identical contracts to the per-flow arm. These are the
+    // Observers — identical contracts to the reference arm. These are the
     // materialization points: reading a flow's rate, progress, or
     // projected completion converts the cell's virtual time into real
     // quantities on demand.
@@ -1228,7 +1525,7 @@ impl CohortNet {
 
     /// The projected completion of a live flow with a positive rate.
     /// Parked-overdue flows report the instant their virtual deadline
-    /// elapsed (the per-flow arm likewise projects from the flow's last
+    /// elapsed (the reference arm likewise projects from the flow's last
     /// settled state).
     pub fn completion_of(&self, flow: u64) -> Option<SimTime> {
         let f = self.flows.get(flow)?;
@@ -1260,8 +1557,7 @@ impl CohortNet {
     }
 
     /// Member flows covered by the most recent re-solve's dirty cell
-    /// set — 0 before any solve. Comparable to the per-flow arm's
-    /// touched count, though cohort work no longer scales with it.
+    /// set — 0 before any solve (the metrics probes' dirty-set size).
     pub fn last_solve_touched(&self) -> usize {
         self.last_solve_touched
     }
@@ -1289,7 +1585,7 @@ impl CohortNet {
         self.flows.iter().find(|(_, f)| f.id == id).map(|(_, f)| f)
     }
 
-    /// Test-only state dump in the per-flow arm's shape: `(id, rate,
+    /// Test-only state dump in the reference arm's shape: `(id, rate,
     /// bottleneck link, route)` per live flow, sorted by id.
     #[cfg(test)]
     pub(crate) fn dump(&self) -> Vec<(u64, u64, u32, Vec<u32>)> {
@@ -1432,6 +1728,84 @@ mod tests {
         // Flow 2 keeps the downlink's leftover share alone.
         let r2 = net.flow_rate_bps(FlowId(2)).unwrap();
         assert!((r2 - (1_000_000_000.0 - third)).abs() < 2.0, "{r2}");
+    }
+
+    /// Mixed fan-in model test: batched admission waves of width 1, 8
+    /// and 32 converge on random hosts of a fat tree, interleaved with
+    /// cancellations and completion advances, so singleton admissions,
+    /// splits and merges all fire. The cohort engine's `(completion
+    /// instant, flow id)` sequence must equal the reference arm's
+    /// exactly.
+    #[test]
+    fn mixed_fan_in_completions_match_reference_exactly() {
+        use crate::flow::{FlowNet, FlowSolverKind};
+        use crate::topologies::fat_tree;
+        use holdcsim_des::rng::SimRng;
+
+        let built = fat_tree(4, LinkSpec::gigabit());
+        let topo = built.topology;
+        let hosts = built.hosts;
+        let mut router = Router::new();
+        let mut reference = FlowNet::with_solver(&topo, FlowSolverKind::Reference);
+        let mut cohort = CohortNet::new(&topo);
+        let mut rng = SimRng::seed_from(0xFA41);
+        let mut done_ref: Vec<(SimTime, FlowId)> = Vec::new();
+        let mut done_cohort: Vec<(SimTime, FlowId)> = Vec::new();
+        let mut live: Vec<(u64, u64)> = Vec::new(); // (reference key, cohort key)
+        let mut next_id = 0u64;
+        let mut now = SimTime::ZERO;
+        let mut singles = 0;
+        for step in 0..600u64 {
+            now += SimDuration::from_micros(1 + rng.below(200));
+            match rng.below(10) {
+                0..=3 => {
+                    let width = [1, 8, 32][rng.below(3) as usize];
+                    singles += usize::from(width == 1);
+                    let dst = rng.below(hosts.len() as u64) as usize;
+                    for _ in 0..width {
+                        let src =
+                            (dst + 1 + rng.below(hosts.len() as u64 - 1) as usize) % hosts.len();
+                        let links = route(&topo, &mut router, hosts[src], hosts[dst], next_id);
+                        let bytes = 10_000 + rng.below(400_000);
+                        let id = FlowId(next_id);
+                        next_id += 1;
+                        let kr = reference
+                            .add_flow_batched(now, id, hosts[src], hosts[dst], &links, bytes);
+                        let kc =
+                            cohort.add_flow_batched(now, id, hosts[src], hosts[dst], &links, bytes);
+                        live.push((kr, kc));
+                    }
+                    reference.flush(now);
+                    cohort.flush(now);
+                }
+                4 if !live.is_empty() => {
+                    let (kr, kc) = live.swap_remove(rng.below(live.len() as u64) as usize);
+                    let (a, b) = (reference.remove_flow(now, kr), cohort.remove_flow(now, kc));
+                    assert_eq!(a, b, "step {step}: cancellation liveness");
+                }
+                _ => {
+                    let due = reference.next_due();
+                    assert_eq!(due, cohort.next_due(), "step {step}: next due");
+                    if let Some(due) = due {
+                        now = now.max(due);
+                        reference.advance_due(due);
+                        cohort.advance_due(due);
+                    }
+                }
+            }
+            done_ref.extend(reference.take_completed().iter().map(|c| (now, c.id)));
+            done_cohort.extend(cohort.take_completed().iter().map(|c| (now, c.id)));
+            assert_eq!(done_ref, done_cohort, "step {step}: completion sequences");
+            assert_eq!(
+                reference.active_flows(),
+                cohort.active_flows(),
+                "step {step}"
+            );
+        }
+        assert!(done_ref.len() > 200, "completions: {}", done_ref.len());
+        assert!(singles > 0, "singleton admissions fired");
+        assert!(cohort.splits > 0, "splits fired");
+        assert!(cohort.merges > 0, "merges fired");
     }
 
     /// A flow whose virtual deadline elapsed mid-settle while its share
