@@ -1808,6 +1808,48 @@ mod tests {
         assert!(cohort.merges > 0, "merges fired");
     }
 
+    /// The audit index stays proportional to the live cells: every
+    /// admission registers a singleton that its solve usually merges
+    /// away, so without compaction the per-link lists would grow with
+    /// the number of admissions on links no audit walks.
+    #[test]
+    fn audit_index_stays_proportional_to_live_cells() {
+        use crate::topologies::fat_tree;
+        use holdcsim_des::rng::SimRng;
+
+        let built = fat_tree(4, LinkSpec::gigabit());
+        let topo = built.topology;
+        let hosts = built.hosts;
+        let mut router = Router::new();
+        let mut net = CohortNet::new(&topo);
+        let mut rng = SimRng::seed_from(0xA0D17);
+        let mut now = SimTime::ZERO;
+        for id in 0..6_000u64 {
+            now += SimDuration::from_micros(1 + rng.below(30));
+            let dst = rng.below(hosts.len() as u64) as usize;
+            let src = (dst + 1 + rng.below(hosts.len() as u64 - 1) as usize) % hosts.len();
+            let links = route(&topo, &mut router, hosts[src], hosts[dst], id);
+            net.add_flow(now, FlowId(id), hosts[src], hosts[dst], &links, 20_000);
+            while net.next_due().is_some_and(|d| d <= now) {
+                let due = net.next_due().expect("checked");
+                net.advance_due(due);
+            }
+            net.take_completed();
+        }
+        let entries: usize = net.cells_crossing.iter().map(Vec::len).sum();
+        let live: usize = net
+            .cells
+            .iter()
+            .filter(|c| c.live)
+            .map(|c| c.cross.len())
+            .sum();
+        let floor = CROSSING_MIN_LIMIT as usize * topo.links().len();
+        assert!(
+            entries <= floor + 4 * live,
+            "{entries} audit entries for {live} live crossings"
+        );
+    }
+
     /// A flow whose virtual deadline elapsed mid-settle while its share
     /// was unchanged stays parked with its original due and completes at
     /// the next `advance_due` — never earlier, never retimed.
