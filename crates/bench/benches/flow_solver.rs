@@ -3,8 +3,8 @@
 //! fat tree — a steady churn of random-pair flows, plus an
 //! overloaded-fabric incast scenario (many flows per bottleneck link)
 //! where the per-flow reference arm pays O(flows) per rate shift and
-//! the cohort arm pays O(links) — the isolated cost of what `FlowNet` does once
-//! per admission and completion in flow mode.
+//! the cohort arm pays O(links) — the isolated cost of what `FlowNet`
+//! does once per admission and completion in flow mode.
 //!
 //! Run with `cargo bench --bench flow_solver` (add `-- --quick` for a
 //! reduced grid); compiled in CI via `cargo bench --no-run`.
