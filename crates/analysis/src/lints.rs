@@ -89,7 +89,6 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/des/src/engine.rs",
     "crates/des/src/queue.rs",
     "crates/des/src/slot_window.rs",
-    "crates/des/src/lazy_heap.rs",
     "crates/network/src/flow.rs",
     "crates/network/src/routing.rs",
     "crates/network/src/switch.rs",

@@ -1,10 +1,6 @@
 //! The driver's network bundle: topology + router + flow/packet models +
 //! switch power devices, with the index structures the event loop needs.
 
-// Switch/port index maps are keyed lookups only — never iterated (lint
-// D001): the event loop resolves node → device and port → link by key.
-#[allow(clippy::disallowed_types)]
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use holdcsim_des::time::{SimDuration, SimTime};
@@ -67,7 +63,6 @@ impl IntoIterator for LinkPorts {
 
 /// Everything network-side, owned by the simulation driver.
 #[derive(Debug)]
-#[allow(clippy::disallowed_types)] // point-lookup indices; never iterated
 pub struct NetState {
     /// The graph.
     pub topology: Topology,
@@ -81,8 +76,9 @@ pub struct NetState {
     pub packets: PacketNet,
     /// Switch power devices, parallel to `topology.switches()`.
     pub switches: Vec<SwitchDevice>,
-    /// Map from switch node to index into `switches`.
-    pub switch_index: HashMap<NodeId, usize>,
+    /// Index into `switches` of every node, by `NodeId` (`None` for
+    /// hosts): the per-hop node → device lookup is one array read.
+    switch_of: Vec<Option<u32>>,
     /// Communication granularity.
     pub comm: CommModel,
     /// LPI hold time, if enabled.
@@ -93,8 +89,9 @@ pub struct NetState {
     pub ingress_bytes: Option<(u64, u64)>,
     /// Topology display name.
     pub name: String,
-    /// Reverse map: `(switch index, port)` → the link on that port.
-    pub port_link: HashMap<(usize, u32), LinkId>,
+    /// Reverse map: `port_links[switch index][port]` is the link on that
+    /// port (`None` for an unwired port).
+    port_links: Vec<Vec<Option<LinkId>>>,
     /// Deadline of the furthest-out `LpiCheck` event armed per switch
     /// port (packet mode coalesces per-port idle checks to at most one
     /// outstanding timer; see the driver's `schedule_lpi_check`).
@@ -122,7 +119,6 @@ impl NetState {
     /// # Panics
     ///
     /// Panics if the requested topology yields fewer hosts than servers.
-    #[allow(clippy::disallowed_types)] // constructs the point-lookup indices
     pub fn build(now: SimTime, cfg: &NetworkConfig, server_count: usize) -> Self {
         let built: BuiltTopology = cfg.build_topology(server_count);
         assert!(
@@ -134,7 +130,7 @@ impl NetState {
         );
         let topology = built.topology;
         let mut switches = Vec::new();
-        let mut switch_index = HashMap::new();
+        let mut switch_of = vec![None; topology.node_count()];
         for &sw in topology.switches() {
             let NodeKind::Switch {
                 linecards,
@@ -143,7 +139,7 @@ impl NetState {
             else {
                 unreachable!("switch list contains only switches")
             };
-            switch_index.insert(sw, switches.len());
+            switch_of[sw.0 as usize] = Some(switches.len() as u32);
             switches.push(SwitchDevice::new(
                 now,
                 sw,
@@ -152,11 +148,19 @@ impl NetState {
                 cfg.switch_profile.clone(),
             ));
         }
-        let mut port_link = HashMap::new();
+        let mut port_links: Vec<Vec<Option<LinkId>>> = switches
+            .iter()
+            .map(|sw| vec![None; sw.port_count()])
+            .collect();
         for (i, l) in topology.links().iter().enumerate() {
             for p in [l.a, l.b] {
-                if let Some(&sw) = switch_index.get(&p.node) {
-                    port_link.insert((sw, p.port), LinkId(i as u32));
+                if let Some(sw) = switch_of[p.node.0 as usize] {
+                    let ports = &mut port_links[sw as usize];
+                    let port = p.port as usize;
+                    if ports.len() <= port {
+                        ports.resize(port + 1, None);
+                    }
+                    ports[port] = Some(LinkId(i as u32));
                 }
             }
         }
@@ -189,13 +193,13 @@ impl NetState {
             flows,
             packets,
             switches,
-            switch_index,
+            switch_of,
             comm: cfg.comm,
             lpi_hold: cfg.lpi_hold,
             use_alr: cfg.use_alr,
             ingress_bytes: cfg.ingress_bytes,
             name: built.name,
-            port_link,
+            port_links,
             lpi_armed,
             down_nodes,
             down_links,
@@ -207,6 +211,21 @@ impl NetState {
     /// The host NIC of `server`.
     pub fn host_of(&self, server: ServerId) -> NodeId {
         self.hosts[server.0 as usize]
+    }
+
+    /// The index into [`NetState::switches`] of `node`, or `None` if
+    /// `node` is a host.
+    #[inline]
+    pub fn switch_index(&self, node: NodeId) -> Option<usize> {
+        self.switch_of[node.0 as usize].map(|i| i as usize)
+    }
+
+    /// The link wired to `port` of switch `switch`, if any.
+    pub fn port_link(&self, switch: usize, port: u32) -> Option<LinkId> {
+        self.port_links[switch]
+            .get(port as usize)
+            .copied()
+            .flatten()
     }
 
     /// Routes between two servers' hosts, ECMP-spread by `seed`.
@@ -304,7 +323,7 @@ impl NetState {
         let l = self.topology.link(link);
         let mut ports = LinkPorts::default();
         for p in [l.a, l.b] {
-            if let Some(&i) = self.switch_index.get(&p.node) {
+            if let Some(i) = self.switch_index(p.node) {
                 ports.push((i, p.port));
             }
         }
@@ -336,8 +355,8 @@ impl NetState {
                 continue;
             };
             cost += 0.02 * route.hops() as f64;
-            for node in &route.nodes {
-                if let Some(&sw) = self.switch_index.get(node) {
+            for &node in &route.nodes {
+                if let Some(sw) = self.switch_index(node) {
                     if !self.switches[sw].any_port_active() {
                         cost += 1.0;
                     }
@@ -415,6 +434,29 @@ mod tests {
             let ports = net.switch_ports_of_link(LinkId(l as u32));
             assert_eq!(ports.len(), 1);
         }
+    }
+
+    #[test]
+    fn dense_switch_and_port_tables_invert_the_topology() {
+        let net = NetState::build(SimTime::ZERO, &fat_tree_cfg(), 16);
+        for (i, &sw) in net.topology.switches().iter().enumerate() {
+            assert_eq!(net.switch_index(sw), Some(i));
+            assert_eq!(net.switches[i].node(), sw);
+        }
+        for &h in &net.hosts {
+            assert_eq!(net.switch_index(h), None);
+        }
+        let mut wired = 0;
+        for l in 0..net.topology.links().len() {
+            let link = LinkId(l as u32);
+            for (sw, port) in net.switch_ports_of_link(link) {
+                assert_eq!(net.port_link(sw, port), Some(link));
+                wired += 1;
+            }
+        }
+        // k = 4: 16 host links plus 16 edge-agg and 16 agg-core links.
+        assert_eq!(wired, 16 + 2 * 32);
+        assert_eq!(net.port_link(0, u32::MAX), None, "no such port");
     }
 
     #[test]

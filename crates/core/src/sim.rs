@@ -13,7 +13,7 @@ use holdcsim_des::time::{SimDuration, SimTime};
 use holdcsim_faults::{FaultEvent, FaultKind, RetryPolicy, FAULT_STREAM};
 use holdcsim_network::flow::CompletedFlow;
 use holdcsim_network::ids::{FlowId, LinkId, NodeId, PacketId};
-use holdcsim_network::packet::{Packet, TxOutcome};
+use holdcsim_network::packet::{EgressPort, Packet, TxOutcome};
 use holdcsim_network::routing::Route;
 use holdcsim_obs::{EventInfo, ObsArtifacts, Observer, ProbeSource, TraceEvent};
 use holdcsim_sched::free_cores::FreeCores;
@@ -1032,25 +1032,21 @@ impl Datacenter {
             (st.packet.current_node(), link, st.packet.bytes)
         };
         let net = self.net.as_mut().expect("packet without network");
+        // One read of the link record resolves the egress queue, the
+        // transmitting port, the rate and the latency.
+        let (egress, port) = EgressPort::at(link, net.topology.link(link), node)
+            .expect("route link touches the packet's node");
         // Wake the egress port if this node is a switch; the wake latency
         // delays the transmission start.
+        let swi = net.switch_index(node);
         let mut start = now;
-        let sw_port = net.switch_index.get(&node).copied().map(|swi| {
-            let l = net.topology.link(link);
-            let port = l.endpoint_on(node).expect("link touches node").port;
-            (swi, port)
-        });
-        if let Some((swi, port)) = sw_port {
-            let wake = net.switches[swi].wake_for_tx(now, port);
-            start = now + wake;
+        if let Some(swi) = swi {
+            start = now + net.switches[swi].wake_for_tx(now, port);
         }
-        match net
-            .packets
-            .transmit(start, &net.topology, link, node, bytes)
-        {
+        match net.packets.transmit(start, egress, bytes) {
             TxOutcome::Forwarded { arrives_at } => {
-                if let Some((swi, port)) = sw_port {
-                    let tx_end = arrives_at - net.topology.link(link).latency;
+                if let Some(swi) = swi {
+                    let tx_end = arrives_at - egress.latency;
                     net.switches[swi].note_tx_end(port, tx_end);
                     if let Some(hold) = net.lpi_hold {
                         Self::schedule_lpi_check(ctx, net, swi, port, tx_end + hold);
@@ -1186,14 +1182,16 @@ impl Datacenter {
         if is_packet && net.lpi_armed[switch][port as usize] > now {
             return;
         }
-        let link = net.port_link[&(switch, port)];
+        let link = net
+            .port_link(switch, port)
+            .expect("LPI checks are armed only on wired ports");
         let busy = match net.comm {
             CommModel::Flow => net.flows.flows_on_link(link) > 0,
             CommModel::Packet { .. } => {
                 let sw_node = net.switches[switch].node();
-                net.packets
-                    .egress_idle_at(&net.topology, link, sw_node, now)
-                    > now
+                let (egress, _) = EgressPort::at(link, net.topology.link(link), sw_node)
+                    .expect("a switch port's link touches the switch");
+                net.packets.egress_idle_at(egress, now) > now
             }
         };
         let idle_due = net.switches[switch].last_tx_end(port).saturating_add(hold);
@@ -2595,6 +2593,55 @@ mod tests {
         assert!(
             net.packets_forwarded > 10_000,
             "transfers really packetized"
+        );
+    }
+
+    /// The packet hop path under stress: a ~3 KB egress buffer (two
+    /// MTUs) tail-drops under fan-in so `PacketRetry` fires, and a short
+    /// LPI hold idles switch ports between jobs so transmissions wake
+    /// them. Every transfer must still land, and reruns must match.
+    #[test]
+    fn packet_mode_tail_drops_and_lpi_deliver_every_transfer() {
+        use holdcsim_workload::service::ServiceDist;
+        use holdcsim_workload::templates::JobTemplate;
+        let cfg = |lpi_hold: Option<SimDuration>| {
+            let template = JobTemplate::two_tier(
+                ServiceDist::Deterministic(SimDuration::from_millis(1)),
+                ServiceDist::Deterministic(SimDuration::from_millis(1)),
+                4_500, // three packets per edge: one more than a buffer holds
+            );
+            let mut cfg = SimConfig::server_farm(16, 2, 0.2, template, SimDuration::from_secs(5));
+            cfg.arrivals =
+                ArrivalConfig::Trace((0..60).map(|i| SimTime::from_millis(2 * i)).collect());
+            cfg.server_classes = (0..16).map(|i| (i % 2) as u32).collect();
+            let mut net = crate::config::NetworkConfig::fat_tree(4);
+            net.comm = CommModel::Packet {
+                mtu: 1_500,
+                buffer_bytes: 3_000,
+            };
+            net.lpi_hold = lpi_hold;
+            cfg.network = Some(net);
+            cfg
+        };
+        let hold = Some(SimDuration::from_micros(200));
+        let a = Simulation::new(cfg(hold)).run();
+        let b = Simulation::new(cfg(hold)).run();
+        assert_eq!(a.to_json(), b.to_json(), "same seed, same report bytes");
+        assert_eq!(a.events_processed, b.events_processed);
+        assert_eq!(a.jobs_completed, 60, "every transfer must land");
+        let net = a.network.as_ref().expect("network report");
+        assert!(net.packets_dropped > 0, "a 3 KB buffer must tail-drop");
+        assert!(net.packets_forwarded > 60 * 3, "edges cross the fabric");
+        // Every transmission re-arms its port's idle check, so ports sleep
+        // between jobs: the fabric burns well under half the always-on
+        // energy (ports woken once and never re-armed burn ~85% of it).
+        let always_on = Simulation::new(cfg(None)).run();
+        let on = always_on.network.as_ref().expect("network report");
+        assert!(
+            net.switch_energy_j < 0.5 * on.switch_energy_j,
+            "LPI {} J vs always-on {} J",
+            net.switch_energy_j,
+            on.switch_energy_j
         );
     }
 

@@ -1,15 +1,20 @@
 //! The simulation engine: drives a [`Model`] by popping events off the
 //! calendar and handing them to the model's handler together with a
 //! [`Context`] through which the handler schedules follow-up events.
+//!
+//! Scheduled events cannot be cancelled. A model retracts an event by
+//! making it stale: it stamps the event with a generation (or records
+//! the deadline it armed) and ignores the event when it fires with an
+//! outdated stamp, so the calendar keeps no per-event state.
 
-use crate::queue::{EventQueue, EventToken};
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// A simulation model: owns all domain state and interprets events.
 ///
 /// The engine owns the clock and the calendar; the model owns everything
 /// else. Handlers receive a [`Context`] for reading the clock and scheduling
-/// or cancelling future events.
+/// future events.
 ///
 /// # Examples
 ///
@@ -99,6 +104,9 @@ impl<M: Model, O: EventObserver<M>> Drop for PanicGuard<'_, M, O> {
 }
 
 /// The handler-side view of the engine: the current clock plus scheduling.
+///
+/// Scheduling is fire-and-forget; staleness is the model's business,
+/// handled by generation stamps in its events.
 #[derive(Debug)]
 pub struct Context<'a, E> {
     now: SimTime,
@@ -114,8 +122,9 @@ impl<'a, E> Context<'a, E> {
     }
 
     /// Schedules `event` to fire `delay` after now.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventToken {
-        self.queue.push(self.now + delay, event)
+    #[inline]
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
+        self.queue.push(self.now + delay, event);
     }
 
     /// Schedules `event` at the absolute instant `at`.
@@ -124,18 +133,14 @@ impl<'a, E> Context<'a, E> {
     ///
     /// Panics if `at` is in the past (before `self.now()`): scheduling into
     /// the past would corrupt causality.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventToken {
+    #[inline]
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at} < {}",
             self.now
         );
-        self.queue.push(at, event)
-    }
-
-    /// Cancels a previously scheduled event. No-op if it already fired.
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        self.queue.cancel(token)
+        self.queue.push(at, event);
     }
 
     /// Requests the engine stop after this handler returns.
@@ -218,14 +223,14 @@ impl<M: Model, O: EventObserver<M>> Engine<M, O> {
     }
 
     /// Schedules an event before or between runs.
-    pub fn schedule_at(&mut self, at: SimTime, event: M::Event) -> EventToken {
+    pub fn schedule_at(&mut self, at: SimTime, event: M::Event) {
         assert!(at >= self.now, "cannot schedule into the past");
-        self.queue.push(at, event)
+        self.queue.push(at, event);
     }
 
     /// Schedules an event `delay` after the current clock.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: M::Event) -> EventToken {
-        self.queue.push(self.now + delay, event)
+    pub fn schedule_in(&mut self, delay: SimDuration, event: M::Event) {
+        self.queue.push(self.now + delay, event);
     }
 
     /// Processes a single event. Returns `false` when the calendar is empty
@@ -315,7 +320,7 @@ impl<M: Model, O: EventObserver<M>> Engine<M, O> {
     /// This is the coordination primitive for running several engines
     /// together — e.g. a multi-datacenter federation computing the next
     /// safe window from the globally earliest event.
-    pub fn peek_next_time(&mut self) -> Option<SimTime> {
+    pub fn peek_next_time(&self) -> Option<SimTime> {
         if self.stopped {
             return None;
         }
@@ -327,7 +332,7 @@ impl<M: Model, O: EventObserver<M>> Engine<M, O> {
         self.stopped
     }
 
-    /// Number of live events still scheduled.
+    /// Number of events still scheduled.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }

@@ -1,14 +1,21 @@
 //! # holdcsim-des
 //!
 //! The discrete-event simulation kernel underpinning HolDCSim-RS: a
-//! deterministic event calendar with cancellable timers, an engine driving a
-//! user-supplied [`engine::Model`], a reproducible random-number generator,
-//! the generic [`slot_window::SlotWindow`] behind every hot-path table
-//! (sequentially-keyed, hash-free, straggler-compacting), and the
-//! statistics toolkit the simulator reports with.
+//! deterministic event calendar (time order, FIFO within an instant), an
+//! engine driving a user-supplied [`engine::Model`], a reproducible
+//! random-number generator, the generic [`slot_window::SlotWindow`] behind
+//! every hot-path table (sequentially-keyed, hash-free,
+//! straggler-compacting), and the statistics toolkit the simulator reports
+//! with.
 //!
 //! Everything here is domain-agnostic: no servers, switches, or jobs — those
 //! live in the crates layered on top.
+//!
+//! The calendar has no cancellation. Models drop outdated events
+//! themselves: an event carries a generation stamp (or the model records
+//! the deadline it armed), and a handler that finds the stamp stale
+//! ignores the event. The calendar stays a bare heap of `(time, seq)`
+//! keys.
 //!
 //! ## Example: an M/M/1 queue in ~40 lines
 //!
@@ -82,7 +89,6 @@
 
 pub mod analysis;
 pub mod engine;
-pub mod lazy_heap;
 pub mod queue;
 pub mod rng;
 pub mod slot_window;
@@ -90,8 +96,7 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{Context, Engine, EventObserver, Model, NoObserver};
-pub use lazy_heap::LazyHeap;
-pub use queue::{EventQueue, EventToken};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use slot_window::SlotWindow;
 pub use time::{SimDuration, SimTime};

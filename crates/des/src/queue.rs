@@ -1,45 +1,37 @@
-//! The event calendar: a cancellable priority queue of timestamped events.
+//! The event calendar: a min-priority queue of timestamped events.
 //!
 //! Events at the same timestamp pop in insertion (FIFO) order, which makes
-//! simulations deterministic regardless of heap internals. Cancellation is
-//! O(1): every token's lifecycle (live → cancelled/consumed) is tracked in
-//! a [`SlotWindow`] of per-sequence states, so cancelled entries are
-//! skipped when they reach the top ("lazy deletion") without any heap
-//! surgery — and, unlike a hash-set of cancelled sequences, the hot pop
-//! path costs one array index per event instead of a hash probe. The
-//! window's straggler compaction keeps one far-future timer from pinning
-//! per-sequence state for every event pushed since (see
-//! [`crate::slot_window`] for the shared machinery).
+//! simulations deterministic regardless of heap internals. Each entry is
+//! ordered by one packed `u128` key, `(at_ns << 64) | seq`, where `seq` is
+//! a per-queue push counter: comparing the keys is exactly the
+//! lexicographic `(time, FIFO)` order, in one integer comparison.
+//!
+//! There is no cancellation. A model that wants to retract a scheduled
+//! event stamps it with a generation (or remembers the deadline it armed)
+//! and ignores the event when it fires stale; the calendar then never
+//! tracks per-event state beyond the heap entry itself.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::slot_window::SlotWindow;
 use crate::time::SimTime;
-
-/// A handle to a scheduled event, usable to cancel it before it fires.
-///
-/// Tokens are unique for the lifetime of a queue and never reused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventToken(u64);
-
-impl EventToken {
-    /// The raw sequence number behind this token.
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-}
 
 #[derive(Debug)]
 struct Entry<E> {
-    at: SimTime,
-    seq: u64,
+    /// `(at_ns << 64) | seq`.
+    key: u128,
     event: E,
+}
+
+impl<E> Entry<E> {
+    fn at(&self) -> SimTime {
+        SimTime::from_nanos((self.key >> 64) as u64)
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -52,26 +44,12 @@ impl<E> PartialOrd for Entry<E> {
 
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        // BinaryHeap is a max-heap; invert so the smallest key pops first.
+        other.key.cmp(&self.key)
     }
 }
 
-/// Lifecycle of one issued sequence number still in the heap. A sequence
-/// absent from the window has fired (or its cancelled entry was skipped).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SeqState {
-    /// Still in the heap, will fire unless cancelled.
-    Live,
-    /// Cancelled before firing; its heap entry is skipped on pop.
-    Cancelled,
-}
-
-/// A cancellable min-priority queue of `(SimTime, E)` pairs with FIFO
-/// tie-breaking.
+/// A min-priority queue of `(SimTime, E)` pairs with FIFO tie-breaking.
 ///
 /// # Examples
 ///
@@ -81,22 +59,18 @@ enum SeqState {
 ///
 /// let mut q = EventQueue::new();
 /// q.push(SimTime::from_secs(2), "later");
-/// let tok = q.push(SimTime::from_secs(1), "cancelled");
-/// q.push(SimTime::from_secs(1), "sooner");
-/// q.cancel(tok);
-/// assert_eq!(q.pop(), Some((SimTime::from_secs(1), "sooner")));
+/// q.push(SimTime::from_secs(1), "first");
+/// q.push(SimTime::from_secs(1), "second");
+/// assert_eq!(q.pop(), Some((SimTime::from_secs(1), "first")));
+/// assert_eq!(q.pop(), Some((SimTime::from_secs(1), "second")));
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(2), "later")));
 /// assert_eq!(q.pop(), None);
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// State of every sequence still in the heap; sequence numbers are the
-    /// window's keys, so retiring a fired/skipped entry is a window
-    /// removal and token uniqueness falls out of key monotonicity.
-    window: SlotWindow<SeqState>,
-    /// Cancelled entries still sitting in the heap.
-    cancelled_pending: usize,
+    /// Pushes so far: the FIFO half of the next key.
+    seq: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -110,99 +84,50 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            window: SlotWindow::new(),
-            cancelled_pending: 0,
+            seq: 0,
         }
     }
 
-    /// Schedules `event` to fire at `at`, returning a cancellation token.
-    pub fn push(&mut self, at: SimTime, event: E) -> EventToken {
-        let seq = self.window.insert(SeqState::Live);
-        self.heap.push(Entry { at, seq, event });
-        EventToken(seq)
+    /// Schedules `event` to fire at `at`.
+    #[inline]
+    pub fn push(&mut self, at: SimTime, event: E) {
+        let key = (u128::from(at.as_nanos()) << 64) | u128::from(self.seq);
+        self.seq += 1;
+        self.heap.push(Entry { key, event });
     }
 
-    /// Cancels a previously scheduled event.
-    ///
-    /// Returns `true` if the token had not already fired or been cancelled.
-    /// Cancelling an already-popped or already-cancelled token is a
-    /// harmless no-op (`false`).
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        match self.window.get_mut(token.0) {
-            Some(state @ SeqState::Live) => {
-                *state = SeqState::Cancelled;
-                self.cancelled_pending += 1;
-                true
-            }
-            // Already cancelled, already fired, or never issued.
-            _ => false,
-        }
-    }
-
-    /// Removes and returns the earliest live event.
+    /// Removes and returns the earliest event.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            let state = self.window.remove(entry.seq);
-            debug_assert!(state.is_some(), "heap entry without window state");
-            if state == Some(SeqState::Cancelled) {
-                self.cancelled_pending -= 1;
-                continue;
-            }
-            return Some((entry.at, entry.event));
-        }
-        None
+        self.heap.pop().map(|e| (e.at(), e.event))
     }
 
-    /// The timestamp of the earliest live event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if self.cancelled_pending > 0
-                && self.window.get(entry.seq) == Some(&SeqState::Cancelled)
-            {
-                let seq = entry.seq;
-                self.heap.pop();
-                self.window.remove(seq);
-                self.cancelled_pending -= 1;
-                continue;
-            }
-            return Some(entry.at);
-        }
-        None
+    /// The timestamp of the earliest event, if any.
+    #[inline]
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(Entry::at)
     }
 
-    /// Number of live (non-cancelled) events still queued.
+    /// Number of events still queued.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled_pending
+        self.heap.len()
     }
 
-    /// `true` if no live events remain.
+    /// `true` if no events remain.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
-    /// Removes all events.
+    /// Removes all events. Later pushes still order after earlier ones at
+    /// the same instant.
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.window.clear();
-        self.cancelled_pending = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Miri interprets ~100x slower than native; shrink churn counts
-    /// under `cfg(miri)` while keeping them above the compaction
-    /// threshold (`COMPACT_SLACK`) so every structural path still fires.
-    fn scaled(native: u64, miri: u64) -> u64 {
-        if cfg!(miri) {
-            miri
-        } else {
-            native
-        }
-    }
-    use crate::slot_window::COMPACT_SLACK;
 
     #[test]
     fn pops_in_time_order() {
@@ -226,149 +151,44 @@ mod tests {
     }
 
     #[test]
-    fn cancel_skips_event() {
+    fn extreme_instants_keep_time_then_fifo_order() {
+        // The time half of the key spans all 64 bits: MAX must not
+        // collide with the sequence half, nor ZERO sort after anything.
         let mut q = EventQueue::new();
-        let tok = q.push(SimTime::from_nanos(1), "a");
-        q.push(SimTime::from_nanos(2), "b");
-        assert!(q.cancel(tok));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(2), "b")));
-    }
-
-    #[test]
-    fn cancel_twice_is_noop() {
-        let mut q = EventQueue::new();
-        let tok = q.push(SimTime::from_nanos(1), ());
-        assert!(q.cancel(tok));
-        assert!(!q.cancel(tok));
-    }
-
-    #[test]
-    fn cancel_unknown_token_is_noop() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventToken(42)));
-    }
-
-    #[test]
-    fn cancel_after_fire_is_noop() {
-        // Regression: cancelling an already-fired token used to insert its
-        // seq into the cancelled set and return `true`, underflowing
-        // `len()` on the next accounting.
-        let mut q = EventQueue::new();
-        let tok = q.push(SimTime::from_nanos(1), "a");
-        q.push(SimTime::from_nanos(2), "b");
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(1), "a")));
-        assert!(!q.cancel(tok), "token already fired");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(2), "b")));
-        assert_eq!(q.len(), 0);
+        q.push(SimTime::MAX, "max-a");
+        q.push(SimTime::ZERO, "zero-a");
+        q.push(SimTime::from_nanos(u64::MAX - 1), "max-1");
+        q.push(SimTime::MAX, "max-b");
+        q.push(SimTime::ZERO, "zero-b");
+        assert_eq!(q.peek_time(), Some(SimTime::ZERO));
+        assert_eq!(q.len(), 5);
+        let order: Vec<(SimTime, &str)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            vec![
+                (SimTime::ZERO, "zero-a"),
+                (SimTime::ZERO, "zero-b"),
+                (SimTime::from_nanos(u64::MAX - 1), "max-1"),
+                (SimTime::MAX, "max-a"),
+                (SimTime::MAX, "max-b"),
+            ]
+        );
         assert!(q.is_empty());
-        // Still a no-op once the queue has fully drained.
-        assert!(!q.cancel(tok));
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
-    fn cancel_after_fire_out_of_seq_order() {
-        // Fired sequence numbers are not contiguous (pops follow time, not
-        // insertion): retiring must handle a fired high seq before a live
-        // low seq.
+    fn clear_empties_and_keeps_fifo_for_later_pushes() {
         let mut q = EventQueue::new();
-        let slow = q.push(SimTime::from_nanos(100), "slow"); // seq 0
-        let fast = q.push(SimTime::from_nanos(1), "fast"); // seq 1
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(1), "fast")));
-        assert!(!q.cancel(fast), "fired token");
-        assert!(q.cancel(slow), "still-live token");
-        assert_eq!(q.len(), 0);
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let tok = q.push(SimTime::from_nanos(5), "x");
-        q.push(SimTime::from_nanos(9), "y");
-        q.cancel(tok);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(9)));
-    }
-
-    #[test]
-    fn len_accounts_for_cancellations() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime::from_nanos(1), 1);
+        q.push(SimTime::from_nanos(1), 1);
         q.push(SimTime::from_nanos(2), 2);
         assert_eq!(q.len(), 2);
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
         q.clear();
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn push_after_clear_keeps_tokens_unique() {
-        let mut q = EventQueue::new();
-        let before = q.push(SimTime::from_nanos(1), 1);
-        q.clear();
-        let after = q.push(SimTime::from_nanos(1), 2);
-        assert_ne!(before, after);
-        assert!(!q.cancel(before), "cleared token is dead");
-        assert!(q.cancel(after));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn far_future_event_does_not_pin_the_state_window() {
-        // A single long-lived event must not hold the dense state window
-        // open while millions of near events churn past: once the window
-        // is dominated by dead entries it compacts, parking the anchor in
-        // the sparse overflow with full cancel/fire semantics intact.
-        let mut q = EventQueue::new();
-        let anchor = q.push(SimTime::from_secs(1_000_000), u64::MAX);
-        for i in 0..scaled(200_000, 3_000) {
-            q.push(SimTime::from_nanos(i), i);
-            q.pop();
-        }
-        assert!(
-            q.window.dense_len() < 2 * COMPACT_SLACK + 16,
-            "window should compact behind the anchor, got {} entries",
-            q.window.dense_len()
-        );
-        assert_eq!(q.len(), 1);
-        // The compacted anchor still cancels exactly once.
-        assert!(q.cancel(anchor));
-        assert!(!q.cancel(anchor));
-        assert_eq!(q.len(), 0);
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.window.overflow_len(), 0, "overflow drained after the pop");
-    }
-
-    #[test]
-    fn compacted_event_still_fires() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(100), u64::MAX);
-        for i in 0..scaled(50_000, 3_000) {
-            q.push(SimTime::from_nanos(i), i);
-            q.pop();
-        }
-        assert_eq!(q.pop(), Some((SimTime::from_secs(100), u64::MAX)));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn state_window_trims_behind_fired_events() {
-        // A long-lived event keeps the window open; everything behind it is
-        // trimmed once it fires.
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(100), u64::MAX); // the anchor
-        for i in 0..1_000u64 {
-            q.push(SimTime::from_nanos(i), i);
-        }
-        for _ in 0..1_000 {
-            q.pop();
-        }
-        // Only the anchor (seq 0) holds the window; span is next_seq range.
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().map(|(_, e)| e), Some(u64::MAX));
-        assert_eq!(q.window.dense_len(), 0, "window fully trimmed");
+        q.push(SimTime::from_nanos(5), 3);
+        q.push(SimTime::from_nanos(5), 4);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(5), 3)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(5), 4)));
     }
 }

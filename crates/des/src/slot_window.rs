@@ -5,11 +5,10 @@
 //! # Design note
 //!
 //! Discrete-event simulations are full of tables whose keys are allocated
-//! sequentially and whose entries mostly die in allocation order: event
-//! calendars (sequence numbers), job tables (job ids), transfer and
-//! dispatch ledgers (per-edge slots). A hash map supports them but pays a
-//! hash probe per event on the hottest paths. [`SlotWindow`] exploits the
-//! allocation pattern instead:
+//! sequentially and whose entries mostly die in allocation order: job
+//! tables (job ids), transfer and dispatch ledgers (per-edge slots). A
+//! hash map supports them but pays a hash probe per event on the hottest
+//! paths. [`SlotWindow`] exploits the allocation pattern instead:
 //!
 //! * **Dense window.** Entries with keys in `[base, base + dense_len)`
 //!   live in a [`VecDeque`] of `Option<T>` slots; a lookup is one bounds
@@ -28,11 +27,10 @@
 //!   indices rely on).
 //!
 //! All operations are O(1) amortized; compaction is amortized against the
-//! inserts that grew the window. The event calendar
-//! ([`crate::queue::EventQueue`]) and the simulator's job/transfer/
-//! dispatch tables are all thin wrappers over this type, which is also the
-//! unit that a future intra-simulation parallelism pass would shard: the
-//! window bounds the live key range each shard must track.
+//! inserts that grew the window. The simulator's job/transfer/dispatch
+//! tables are all thin wrappers over this type, which is also the unit
+//! that a future intra-simulation parallelism pass would shard: the window
+//! bounds the live key range each shard must track.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;

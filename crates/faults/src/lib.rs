@@ -317,6 +317,25 @@ impl FaultPlan {
         }
     }
 
+    /// Checks every WAN entry (`wan-down`/`wan-up`) against a WAN of
+    /// `links` links; the error names the first entry out of range.
+    pub fn check_wan_targets(&self, links: usize) -> Result<(), String> {
+        let wan = self.events.iter().filter_map(|e| match e.kind {
+            FaultKind::WanLinkDown { link } | FaultKind::WanLinkUp { link } => {
+                Some((e.kind.label(), link))
+            }
+            _ => None,
+        });
+        for (label, link) in wan {
+            if link as usize >= links {
+                return Err(format!(
+                    "fault `{label}` targets WAN link {link}, but the WAN has {links} link(s) (ids 0..{links})"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// The non-WAN entries owned by `site`, with site fields cleared —
     /// the sub-plan a federation hands to that site's standalone config.
     pub fn for_site(&self, site: u32) -> FaultPlan {
@@ -606,6 +625,12 @@ mod tests {
         // WAN faults are federation-global: their site field is unused.
         let wan = FaultPlan::parse("wan-down@1s:0").unwrap();
         assert!(wan.check_site_targets(1).is_ok());
+        // ...and are checked against the WAN's link list instead.
+        let wan = FaultPlan::parse("wan-down@1s:0; wan-up@2s:2; crash@1s:9").unwrap();
+        assert!(wan.check_wan_targets(3).is_ok());
+        let e = wan.check_wan_targets(2).unwrap_err();
+        assert!(e.contains("`wan-up`") && e.contains("WAN link 2"), "{e}");
+        assert!(wan.check_wan_targets(0).is_err());
     }
 
     #[test]

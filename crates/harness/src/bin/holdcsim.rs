@@ -540,6 +540,7 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
         let plan = holdcsim_faults::load_plan(s)?;
         check_fault_targets(&plan, servers, cc.base.network.as_ref())?;
         plan.check_site_targets(sites)
+            .and_then(|()| plan.check_wan_targets(cc.wan.links.len()))
             .map_err(|e| format!("--faults: {e}"))?;
         cc.faults = Some(plan);
     }

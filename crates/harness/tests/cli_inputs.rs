@@ -105,6 +105,33 @@ fn federate_rejects_site_targets_outside_the_federation() {
 }
 
 #[test]
+fn federate_rejects_wan_targets_outside_the_mesh() {
+    // Two sites share one WAN link (id 0); link 999 does not exist.
+    assert_rejected(
+        &[
+            "federate",
+            "--sites",
+            "2",
+            "--duration",
+            "0.2",
+            "--faults",
+            "wan-down@0.01s:999",
+        ],
+        "WAN link 999",
+    );
+    let (ok, stderr) = holdcsim(&[
+        "federate",
+        "--sites",
+        "2",
+        "--duration",
+        "0.2",
+        "--faults",
+        "wan-down@0.01s:0",
+    ]);
+    assert!(ok, "an in-range WAN target must run:\n{stderr}");
+}
+
+#[test]
 fn federate_rejects_degenerate_farms_by_flag() {
     let base = ["federate", "--sites", "2", "--duration", "0.01"];
     for (flag, v) in [("--servers", "0"), ("--cores", "0"), ("--rho", "nan")] {

@@ -13,7 +13,7 @@ use holdcsim_des::time::{SimDuration, SimTime};
 
 use crate::ids::{LinkId, NodeId, PacketId};
 use crate::routing::Route;
-use crate::topology::Topology;
+use crate::topology::{Link, Topology};
 
 /// Default Ethernet MTU payload used when packetizing task transfers.
 pub const DEFAULT_MTU_BYTES: u64 = 1_500;
@@ -62,23 +62,39 @@ impl Packet {
     }
 }
 
-/// Splits `bytes` into MTU-sized segments (last may be short).
-///
-/// # Panics
-///
-/// Panics if `mtu == 0`.
-pub fn segment(bytes: u64, mtu: u64) -> Vec<u64> {
-    assert!(mtu > 0, "mtu must be positive");
-    if bytes == 0 {
-        return Vec::new();
+/// One direction of a link, resolved to its egress queue: the caller
+/// reads the link record once per hop and hands the result to
+/// [`PacketNet::transmit`], which then needs no topology lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EgressPort {
+    /// Index into the per-direction egress table (`2*link + side`).
+    idx: usize,
+    /// Link rate in bits per second (each direction gets the full rate).
+    pub rate_bps: u64,
+    /// Propagation latency per traversal.
+    pub latency: SimDuration,
+}
+
+impl EgressPort {
+    /// The egress of `link` at `from`'s end, where `l` is `link`'s record,
+    /// together with the transmitting port number on `from`. `None` if
+    /// the link does not touch `from`.
+    #[inline]
+    pub fn at(link: LinkId, l: &Link, from: NodeId) -> Option<(Self, u32)> {
+        let (side, port) = if l.a.node == from {
+            (0, l.a.port)
+        } else if l.b.node == from {
+            (1, l.b.port)
+        } else {
+            return None;
+        };
+        let egress = EgressPort {
+            idx: link.0 as usize * 2 + side,
+            rate_bps: l.rate_bps,
+            latency: l.latency,
+        };
+        Some((egress, port))
     }
-    let full = bytes / mtu;
-    let tail = bytes % mtu;
-    let mut v = vec![mtu; full as usize];
-    if tail > 0 {
-        v.push(tail);
-    }
-    v
 }
 
 /// Outcome of a transmission attempt.
@@ -93,18 +109,12 @@ pub enum TxOutcome {
     Dropped,
 }
 
-/// Per-direction egress-port state.
-#[derive(Debug, Clone, Copy)]
-struct Egress {
-    busy_until: SimTime,
-}
-
 /// The packet-level network: per-port transmission horizons and statistics.
 ///
 /// # Examples
 ///
 /// ```
-/// use holdcsim_network::packet::{segment, PacketNet, TxOutcome};
+/// use holdcsim_network::packet::{EgressPort, PacketNet, TxOutcome};
 /// use holdcsim_network::routing::Router;
 /// use holdcsim_network::topologies::{star, LinkSpec};
 /// use holdcsim_des::time::SimTime;
@@ -114,16 +124,18 @@ struct Egress {
 /// let route = router
 ///     .route(&built.topology, built.hosts[0], built.hosts[1], 0)
 ///     .unwrap();
+/// let first = route.links[0];
+/// let (egress, _port) =
+///     EgressPort::at(first, built.topology.link(first), built.hosts[0]).unwrap();
 /// let mut net = PacketNet::new(&built.topology, 512 * 1024);
-/// let out = net.transmit(SimTime::ZERO, &built.topology, route.links[0],
-///                        built.hosts[0], 1_500);
+/// let out = net.transmit(SimTime::ZERO, egress, 1_500);
 /// assert!(matches!(out, TxOutcome::Forwarded { .. }));
 /// ```
 #[derive(Debug)]
 pub struct PacketNet {
-    /// Two egress ports per link: index `2*link` is the A-side egress,
-    /// `2*link + 1` the B-side.
-    egress: Vec<Egress>,
+    /// When each egress port's backlog drains, two per link: index
+    /// `2*link` is the A-side egress, `2*link + 1` the B-side.
+    busy_until: Vec<SimTime>,
     buffer_bytes: u64,
     forwarded: u64,
     dropped: u64,
@@ -134,79 +146,43 @@ impl PacketNet {
     /// port.
     pub fn new(topo: &Topology, buffer_bytes: u64) -> Self {
         PacketNet {
-            egress: vec![
-                Egress {
-                    busy_until: SimTime::ZERO
-                };
-                topo.links().len() * 2
-            ],
+            busy_until: vec![SimTime::ZERO; topo.links().len() * 2],
             buffer_bytes,
             forwarded: 0,
             dropped: 0,
         }
     }
 
-    /// Attempts to transmit `bytes` from `from` over `link` at `now`.
+    /// Attempts to transmit `bytes` out of `egress` at `now`.
     ///
     /// On success the returned arrival instant accounts for queueing behind
     /// the port's backlog, serialization at the link rate, and propagation
     /// latency. On overflow the packet is dropped (tail-drop).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` does not touch `from`.
-    pub fn transmit(
-        &mut self,
-        now: SimTime,
-        topo: &Topology,
-        link: LinkId,
-        from: NodeId,
-        bytes: u64,
-    ) -> TxOutcome {
-        let l = topo.link(link);
-        let from_a = if l.a.node == from {
-            true
-        } else if l.b.node == from {
-            false
-        } else {
-            panic!("link {link} does not touch {from}");
-        };
-        let idx = link.0 as usize * 2 + usize::from(!from_a);
-        let egress = &mut self.egress[idx];
+    #[inline]
+    pub fn transmit(&mut self, now: SimTime, egress: EgressPort, bytes: u64) -> TxOutcome {
+        let busy_until = &mut self.busy_until[egress.idx];
 
         // Backlog currently queued (in bytes) behind this packet.
-        let backlog = egress
-            .busy_until
-            .saturating_duration_since(now)
-            .as_secs_f64();
-        let queued_bytes = backlog * l.rate_bps as f64 / 8.0;
+        let backlog = busy_until.saturating_duration_since(now).as_secs_f64();
+        let queued_bytes = backlog * egress.rate_bps as f64 / 8.0;
         if queued_bytes + bytes as f64 > self.buffer_bytes as f64 {
             self.dropped += 1;
             return TxOutcome::Dropped;
         }
 
-        let start = egress.busy_until.max(now);
-        let tx = SimDuration::from_secs_f64(bytes as f64 * 8.0 / l.rate_bps as f64);
-        egress.busy_until = start + tx;
+        let start = (*busy_until).max(now);
+        let tx = SimDuration::from_secs_f64(bytes as f64 * 8.0 / egress.rate_bps as f64);
+        *busy_until = start + tx;
         self.forwarded += 1;
         TxOutcome::Forwarded {
-            arrives_at: egress.busy_until + l.latency,
+            arrives_at: *busy_until + egress.latency,
         }
     }
 
-    /// The instant the egress of `link` on `from`'s side drains, given no
-    /// further traffic (`now` if already idle).
-    pub fn egress_idle_at(
-        &self,
-        topo: &Topology,
-        link: LinkId,
-        from: NodeId,
-        now: SimTime,
-    ) -> SimTime {
-        let l = topo.link(link);
-        let from_a = l.a.node == from;
-        let idx = link.0 as usize * 2 + usize::from(!from_a);
-        self.egress[idx].busy_until.max(now)
+    /// The instant `egress` drains, given no further traffic (`now` if
+    /// already idle).
+    pub fn egress_idle_at(&self, egress: EgressPort, now: SimTime) -> SimTime {
+        self.busy_until[egress.idx].max(now)
     }
 
     /// Packets forwarded successfully.
@@ -236,7 +212,7 @@ mod tests {
     use crate::routing::Router;
     use crate::topologies::{star, LinkSpec};
 
-    fn setup() -> (crate::topology::Topology, Vec<NodeId>, Route) {
+    fn setup() -> (Topology, Vec<NodeId>, Route) {
         let built = star(2, LinkSpec::gigabit());
         let mut router = Router::new();
         let route = router
@@ -245,11 +221,26 @@ mod tests {
         (built.topology, built.hosts, route)
     }
 
+    /// The egress of `link` at `from`, resolved the way each packet hop does.
+    fn egress(topo: &Topology, link: LinkId, from: NodeId) -> EgressPort {
+        EgressPort::at(link, topo.link(link), from).unwrap().0
+    }
+
     #[test]
-    fn segment_splits_at_mtu() {
-        assert_eq!(segment(0, 1500), Vec::<u64>::new());
-        assert_eq!(segment(1500, 1500), vec![1500]);
-        assert_eq!(segment(3100, 1500), vec![1500, 1500, 100]);
+    fn egress_resolves_side_and_port() {
+        let (topo, hosts, route) = setup();
+        let l = route.links[0];
+        let link = topo.link(l);
+        let sw = link.opposite(hosts[0]);
+        let (host_side, host_port) = EgressPort::at(l, link, hosts[0]).unwrap();
+        let (sw_side, sw_port) = EgressPort::at(l, link, sw).unwrap();
+        assert_ne!(host_side, sw_side, "the two ends are distinct queues");
+        assert_eq!(host_port, link.endpoint_on(hosts[0]).unwrap().port);
+        assert_eq!(sw_port, link.endpoint_on(sw).unwrap().port);
+        assert_eq!(host_side.rate_bps, link.rate_bps);
+        assert_eq!(sw_side.latency, link.latency);
+        // A link that does not touch the node resolves to nothing.
+        assert_eq!(EgressPort::at(l, link, hosts[1]), None);
     }
 
     #[test]
@@ -257,7 +248,7 @@ mod tests {
         let (topo, hosts, route) = setup();
         let mut net = PacketNet::new(&topo, 1 << 20);
         // 1500 B at 1 Gb/s = 12 µs; + 5 µs propagation.
-        let out = net.transmit(SimTime::ZERO, &topo, route.links[0], hosts[0], 1500);
+        let out = net.transmit(SimTime::ZERO, egress(&topo, route.links[0], hosts[0]), 1500);
         match out {
             TxOutcome::Forwarded { arrives_at } => {
                 assert_eq!(arrives_at, SimTime::from_nanos(12_000 + 5_000));
@@ -270,12 +261,12 @@ mod tests {
     fn back_to_back_packets_queue() {
         let (topo, hosts, route) = setup();
         let mut net = PacketNet::new(&topo, 1 << 20);
-        let l = route.links[0];
-        let a1 = match net.transmit(SimTime::ZERO, &topo, l, hosts[0], 1500) {
+        let e = egress(&topo, route.links[0], hosts[0]);
+        let a1 = match net.transmit(SimTime::ZERO, e, 1500) {
             TxOutcome::Forwarded { arrives_at } => arrives_at,
             _ => panic!(),
         };
-        let a2 = match net.transmit(SimTime::ZERO, &topo, l, hosts[0], 1500) {
+        let a2 = match net.transmit(SimTime::ZERO, e, 1500) {
             TxOutcome::Forwarded { arrives_at } => arrives_at,
             _ => panic!(),
         };
@@ -289,15 +280,22 @@ mod tests {
         let (topo, hosts, route) = setup();
         let mut net = PacketNet::new(&topo, 1 << 20);
         let l = route.links[0];
-        net.transmit(SimTime::ZERO, &topo, l, hosts[0], 1500);
+        let forward = egress(&topo, l, hosts[0]);
+        net.transmit(SimTime::ZERO, forward, 1500);
         // Reverse direction (switch -> host0) is not delayed by the forward tx.
         let sw = topo.link(l).opposite(hosts[0]);
-        match net.transmit(SimTime::ZERO, &topo, l, sw, 1500) {
+        let reverse = egress(&topo, l, sw);
+        assert_eq!(net.egress_idle_at(reverse, SimTime::ZERO), SimTime::ZERO);
+        match net.transmit(SimTime::ZERO, reverse, 1500) {
             TxOutcome::Forwarded { arrives_at } => {
                 assert_eq!(arrives_at, SimTime::from_nanos(17_000));
             }
             _ => panic!(),
         }
+        // Both directions now drain at the same instant, independently.
+        let drained = SimTime::from_nanos(12_000);
+        assert_eq!(net.egress_idle_at(forward, SimTime::ZERO), drained);
+        assert_eq!(net.egress_idle_at(reverse, SimTime::ZERO), drained);
     }
 
     #[test]
@@ -305,19 +303,16 @@ mod tests {
         let (topo, hosts, route) = setup();
         // Tiny 3 KB buffer: third 1500 B packet overflows.
         let mut net = PacketNet::new(&topo, 3_000);
-        let l = route.links[0];
+        let e = egress(&topo, route.links[0], hosts[0]);
         assert!(matches!(
-            net.transmit(SimTime::ZERO, &topo, l, hosts[0], 1500),
+            net.transmit(SimTime::ZERO, e, 1500),
             TxOutcome::Forwarded { .. }
         ));
         assert!(matches!(
-            net.transmit(SimTime::ZERO, &topo, l, hosts[0], 1500),
+            net.transmit(SimTime::ZERO, e, 1500),
             TxOutcome::Forwarded { .. }
         ));
-        assert_eq!(
-            net.transmit(SimTime::ZERO, &topo, l, hosts[0], 1500),
-            TxOutcome::Dropped
-        );
+        assert_eq!(net.transmit(SimTime::ZERO, e, 1500), TxOutcome::Dropped);
         assert_eq!(net.dropped(), 1);
         assert!(net.drop_rate() > 0.3 && net.drop_rate() < 0.34);
     }
@@ -326,14 +321,14 @@ mod tests {
     fn queue_drains_over_time() {
         let (topo, hosts, route) = setup();
         let mut net = PacketNet::new(&topo, 3_000);
-        let l = route.links[0];
-        net.transmit(SimTime::ZERO, &topo, l, hosts[0], 1500);
-        net.transmit(SimTime::ZERO, &topo, l, hosts[0], 1500);
+        let e = egress(&topo, route.links[0], hosts[0]);
+        net.transmit(SimTime::ZERO, e, 1500);
+        net.transmit(SimTime::ZERO, e, 1500);
         // After both serialize (24 µs), the port is free again.
         let later = SimTime::from_nanos(24_000);
-        assert_eq!(net.egress_idle_at(&topo, l, hosts[0], later), later);
+        assert_eq!(net.egress_idle_at(e, later), later);
         assert!(matches!(
-            net.transmit(later, &topo, l, hosts[0], 1500),
+            net.transmit(later, e, 1500),
             TxOutcome::Forwarded { .. }
         ));
     }

@@ -40,27 +40,58 @@ fn queue_pops_sorted() {
     }
 }
 
-/// Cancelling an arbitrary subset removes exactly that subset.
+/// Interleaved pushes and pops match a sorted `(time, push order)`
+/// reference exactly: FIFO among several events at one instant, and the
+/// extreme instants `SimTime::ZERO` and `SimTime::MAX` (the bounds of the
+/// calendar's packed `(time << 64) | seq` key) order like any other.
 #[test]
-fn queue_cancellation_is_exact() {
-    let mut rng = SimRng::seed_from(0xCA4CE1);
+fn queue_order_matches_sorted_reference() {
+    let mut rng = SimRng::seed_from(0x0D3E5);
+    // A small pool of instants, so several events share each one.
+    let instants = [
+        SimTime::ZERO,
+        SimTime::from_nanos(1),
+        SimTime::from_nanos(7),
+        SimTime::from_nanos(1 << 40),
+        SimTime::from_nanos(u64::MAX - 1),
+        SimTime::MAX,
+    ];
+    let (mut max_ties, mut zero_pops, mut max_pops) = (0, 0, 0);
     for _ in 0..CASES {
-        let n = 1 + rng.below(100) as usize;
         let mut q = EventQueue::new();
-        let tokens: Vec<_> = (0..n)
-            .map(|i| q.push(SimTime::from_nanos(i as u64), i))
-            .collect();
-        let mut expect: Vec<usize> = Vec::new();
-        for (i, tok) in tokens.iter().enumerate() {
-            if rng.chance(0.5) {
-                q.cancel(*tok);
+        // Reference: every queued `(time, push index)`, popped by minimum.
+        let mut model: Vec<(SimTime, usize)> = Vec::new();
+        let mut pushed = 0usize;
+        for _ in 0..1 + rng.below(300) {
+            if model.is_empty() || rng.chance(0.6) {
+                let at = *rng.choose(&instants).expect("non-empty pool");
+                q.push(at, pushed);
+                model.push((at, pushed));
+                pushed += 1;
+                let ties = model.iter().filter(|(t, _)| *t == at).count();
+                max_ties = max_ties.max(ties);
             } else {
-                expect.push(i);
+                let min = (0..model.len())
+                    .min_by_key(|&i| model[i])
+                    .expect("model non-empty");
+                let want = model.swap_remove(min);
+                assert_eq!(q.peek_time(), Some(want.0));
+                assert_eq!(q.pop(), Some(want));
+                zero_pops += usize::from(want.0 == SimTime::ZERO);
+                max_pops += usize::from(want.0 == SimTime::MAX);
             }
+            assert_eq!(q.len(), model.len());
         }
-        let got: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(got, expect);
+        model.sort_unstable();
+        let rest: Vec<(SimTime, usize)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(rest, model);
+        assert!(q.is_empty());
     }
+    assert!(max_ties >= 3, "cases must hold >= 3 events at one instant");
+    assert!(
+        zero_pops > 0 && max_pops > 0,
+        "extreme instants must be popped"
+    );
 }
 
 /// Welford tally matches the naive two-pass computation.

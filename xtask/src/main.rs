@@ -102,7 +102,7 @@ fn skip_or_fail(lane: &str, missing: &str, install: &str, require: bool) -> Exit
 }
 
 /// `cargo xtask miri`: run the unsafe-adjacent kernel structures
-/// (`SlotWindow`, `LazyHeap`, `EventQueue`) under the Miri interpreter.
+/// (`SlotWindow`, `EventQueue`) under the Miri interpreter.
 /// The randomized model tests shrink themselves under `cfg(miri)` so the
 /// lane finishes in minutes, not hours.
 fn miri(root: &Path, require: bool) -> ExitCode {
@@ -124,13 +124,12 @@ fn miri(root: &Path, require: bool) -> ExitCode {
             "holdcsim-des",
             "--lib",
             "slot_window",
-            "lazy_heap",
             "queue",
         ])
         .status();
     match status {
         Ok(s) if s.success() => {
-            println!("xtask miri: PASS (SlotWindow / LazyHeap / EventQueue under Miri)");
+            println!("xtask miri: PASS (SlotWindow / EventQueue under Miri)");
             ExitCode::SUCCESS
         }
         Ok(_) => ExitCode::from(1),
