@@ -33,7 +33,7 @@ pub mod topology;
 
 pub use flow::{CompletedFlow, FlowNet};
 pub use ids::{FlowId, LinkId, NodeId, PacketId, PortRef};
-pub use packet::{EgressPort, Packet, PacketNet, TxOutcome, DEFAULT_MTU_BYTES};
+pub use packet::{segment, EgressPort, Packet, PacketNet, TxOutcome, DEFAULT_MTU_BYTES};
 pub use routing::{Route, Router};
 pub use switch::SwitchDevice;
 pub use topologies::{
@@ -45,7 +45,7 @@ pub use topology::{Link, NodeKind, Topology, TopologyBuilder, TopologyError};
 pub mod prelude {
     pub use crate::flow::{CompletedFlow, FlowNet};
     pub use crate::ids::{FlowId, LinkId, NodeId, PacketId, PortRef};
-    pub use crate::packet::{EgressPort, Packet, PacketNet, TxOutcome};
+    pub use crate::packet::{segment, EgressPort, Packet, PacketNet, TxOutcome};
     pub use crate::routing::{Route, Router};
     pub use crate::switch::SwitchDevice;
     pub use crate::topologies::{

@@ -62,6 +62,25 @@ impl Packet {
     }
 }
 
+/// Splits `bytes` into MTU-sized segments (last may be short).
+///
+/// # Panics
+///
+/// Panics if `mtu == 0`.
+pub fn segment(bytes: u64, mtu: u64) -> Vec<u64> {
+    assert!(mtu > 0, "mtu must be positive");
+    if bytes == 0 {
+        return Vec::new();
+    }
+    let full = bytes / mtu;
+    let tail = bytes % mtu;
+    let mut v = vec![mtu; full as usize];
+    if tail > 0 {
+        v.push(tail);
+    }
+    v
+}
+
 /// One direction of a link, resolved to its egress queue: the caller
 /// reads the link record once per hop and hands the result to
 /// [`PacketNet::transmit`], which then needs no topology lookup.
@@ -224,6 +243,13 @@ mod tests {
     /// The egress of `link` at `from`, resolved the way each packet hop does.
     fn egress(topo: &Topology, link: LinkId, from: NodeId) -> EgressPort {
         EgressPort::at(link, topo.link(link), from).unwrap().0
+    }
+
+    #[test]
+    fn segment_splits_at_mtu() {
+        assert_eq!(segment(0, 1500), Vec::<u64>::new());
+        assert_eq!(segment(1500, 1500), vec![1500]);
+        assert_eq!(segment(3100, 1500), vec![1500, 1500, 100]);
     }
 
     #[test]
